@@ -23,7 +23,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,26 +54,6 @@ class ExperimentConfig:
     mode: str
     output: str
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "blocks": self.blocks,
-            "trials": self.trials,
-            "eve_stages": list(self.eve_stages),
-            "eve_basis": self.eve_basis,
-            "noise": self.noise,
-            "parity_rounds": self.parity_rounds,
-            "seed": self.seed,
-            "mode": self.mode,
-            "output": self.output,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        fields = dict(data)
-        fields["eve_stages"] = tuple(fields["eve_stages"])
-        return cls(**fields)
-
 
 @dataclass(frozen=True)
 class PerTrialResult:
@@ -81,14 +61,6 @@ class PerTrialResult:
     bit_error_rate: float
     parity_detected: bool
     eve_guess_success_rate: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "bit_error_rate": self.bit_error_rate,
-            "parity_detected": self.parity_detected,
-            "eve_guess_success_rate": self.eve_guess_success_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -100,14 +72,6 @@ class ExactSummary:
     eve_guess_success_rate: float | None
     branch_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "bit_error_rate": self.bit_error_rate,
-            "detection_relevant_disturbance": self.detection_relevant_disturbance,
-            "eve_guess_success_rate": self.eve_guess_success_rate,
-            "branch_count": self.branch_count,
-        }
-
 
 @dataclass(frozen=True)
 class DeltaSummary:
@@ -115,12 +79,6 @@ class DeltaSummary:
 
     bit_error_rate: float
     eve_guess_success_rate: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "bit_error_rate": self.bit_error_rate,
-            "eve_guess_success_rate": self.eve_guess_success_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -137,35 +95,21 @@ class ExperimentReport:
     deltas: DeltaSummary | None
     wall_time_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config.to_dict(),
-            "per_trial": [row.to_dict() for row in self.per_trial],
-            "bit_error_rate_mean": self.bit_error_rate_mean,
-            "bit_error_rate_stderr": self.bit_error_rate_stderr,
-            "eve_guess_success_rate": self.eve_guess_success_rate,
-            "exact": self.exact.to_dict() if self.exact is not None else None,
-            "deltas": self.deltas.to_dict() if self.deltas is not None else None,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            schema_version=data["schema_version"],
-            config=ExperimentConfig.from_dict(data["config"]),
-            per_trial=tuple(PerTrialResult(**row) for row in data["per_trial"]),
-            bit_error_rate_mean=data["bit_error_rate_mean"],
-            bit_error_rate_stderr=data["bit_error_rate_stderr"],
-            eve_guess_success_rate=data["eve_guess_success_rate"],
-            exact=ExactSummary(**data["exact"]) if data["exact"] is not None else None,
-            deltas=DeltaSummary(**data["deltas"]) if data["deltas"] is not None else None,
-            wall_time_seconds=data["wall_time_seconds"],
-        )
+        """Rebuild a report from its `dataclasses.asdict` form or parsed JSON."""
+        fields = dict(data)
+        config = dict(data["config"], eve_stages=tuple(data["config"]["eve_stages"]))
+        fields["config"] = ExperimentConfig(**config)
+        fields["per_trial"] = tuple(PerTrialResult(**row) for row in data["per_trial"])
+        if data["exact"] is not None:
+            fields["exact"] = ExactSummary(**data["exact"])
+        if data["deltas"] is not None:
+            fields["deltas"] = DeltaSummary(**data["deltas"])
+        return cls(**fields)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":

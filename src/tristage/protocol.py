@@ -7,22 +7,23 @@ the two operators commute up to a global phase the recovered state equals
 the secret up to that phase, so Bob's computational measurement reads the
 secret bits exactly on a clean channel.
 
-`run_key_session` repeats the exchange over many blocks with independently
-drawn secrets and operators, producing the two parties' bit strings and the
-observed error rate.  Sessions are reproducible: each block derives its
-random stream from the session seed and the block index.
+`run_three_stage` executes one run on state objects and keeps its
+transcript.  `run_passes` is the same pipeline on rows of states, run by
+sampling in `run_key_session` and Monte Carlo analysis or by enumeration in
+exact analysis.  A session draws everything from one stream seeded by the
+session seed, so identical configs reproduce identical reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .adversary import ChannelContext, EveStrategy, NoiseModel, transmit
-from .opsets import commutation_phase, get_family
+from .opsets import OperatorFamily, commutation_phase, get_family
 from .qcore import (
     DEFAULT_TOL,
     Outcome,
@@ -30,7 +31,6 @@ from .qcore import (
     UnitaryOperator,
     adjoint,
     apply,
-    basis_state,
     equal_up_to_global_phase,
     measure,
 )
@@ -143,6 +143,120 @@ def verify_recovery(transcript: Transcript, tol: float = DEFAULT_TOL) -> bool:
     return equal_up_to_global_phase(transcript.recovered, transcript.secret, tol)
 
 
+def run_passes(
+    family: OperatorFamily,
+    ctx: ChannelContext,
+    secrets: np.ndarray,
+    alice_idx: np.ndarray,
+    bob_idx: np.ndarray,
+    collapse: Callable,
+    rng: np.random.Generator | None = None,
+    weights: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Run the three passes on rows of basis secrets, one operator pair at a time.
+
+    Row i starts as basis secret ``secrets[i]`` with Alice's member
+    ``alice_idx[i]`` and Bob's member ``bob_idx[i]``.  Pairs are taken in
+    member order, Alice's index first, each with its rows in input order.
+    At each stage Eve intercepts, ``collapse(probs, weights)`` resolves her
+    measurement from the rows' Born probabilities in her basis and their
+    weights; it returns the source row of each resulting row (None: one
+    each), their outcomes and their weights.  The rows carry on from her
+    re-prepared states, and her outcomes accumulate into a record code in
+    base ``family.dim``, first intercepted stage most significant.  On a
+    noisy channel every stage then flips qubits, drawing ``num_qubits``
+    uniforms per row from ``rng``.
+
+    Yields:
+        Per operator pair that has rows: the input row of each resulting
+        row, the Born probabilities of Bob's final measurement, Eve's record
+        codes and the row weights.
+
+    Raises:
+        ValueError: If Eve's pre-rotation does not match the family dimension.
+    """
+    dim = family.dim
+    num_qubits = dim.bit_length() - 1
+    eve = ctx.eve
+    rotation = eve.pre_rotation if eve is not None else None
+    if rotation is not None and rotation.dim != dim:
+        raise ValueError(f"pre-rotation dim {rotation.dim} does not match family dim {dim}")
+    # Rows are transposed states: applying U maps row -> row @ U.T.  Eve
+    # reads row @ R.T and forwards row k of conj(R), the transposed R†|k>.
+    measure_t = rotation.matrix.T if rotation is not None else None
+    reprep = rotation.matrix.conj() if rotation is not None else np.eye(dim, dtype=complex)
+    attacked = [eve is not None and eve.attacks(stage) for stage in STAGES]
+    noise_p = ctx.noise.bit_flip_probability if ctx.noise is not None else None
+    flip_weights = 1 << np.arange(num_qubits - 1, -1, -1)
+    columns = np.arange(dim)
+    for ai, alice in enumerate(family.members):
+        for bi, bob in enumerate(family.members):
+            rows = np.flatnonzero((alice_idx == ai) & (bob_idx == bi))
+            if rows.size == 0:
+                continue
+            a, b = alice.matrix, bob.matrix
+            batch = a.T[secrets[rows]]
+            codes = np.zeros(rows.size, dtype=np.int64)
+            row_weights = weights[rows] if weights is not None else None
+            for hit, post in zip(attacked, (b.T, a.conj(), b.conj())):
+                if hit:
+                    amps = batch @ measure_t if measure_t is not None else batch
+                    take, outcomes, row_weights = collapse(np.abs(amps) ** 2, row_weights)
+                    if take is not None:
+                        rows, codes = rows[take], codes[take]
+                    batch = reprep[outcomes]
+                    codes = codes * dim + outcomes
+                if noise_p is not None:
+                    masks = (rng.random((len(batch), num_qubits)) < noise_p) @ flip_weights
+                    if masks.any():
+                        batch = np.take_along_axis(batch, columns ^ masks[:, None], axis=1)
+                batch = batch @ post
+            yield rows, np.abs(batch) ** 2, codes, row_weights
+
+
+def _born_draw(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One outcome per row of Born probabilities, from one uniform per row."""
+    cumulative = np.cumsum(probs, axis=1)
+    u = rng.random(len(probs))
+    return np.minimum((cumulative < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+
+def sample_passes(
+    family: OperatorFamily,
+    ctx: ChannelContext,
+    secrets: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample `run_passes` once per basis secret, every draw from ``rng``.
+
+    ``rng`` draws Alice's member for every row, then Bob's, then pair by
+    pair one uniform per row for each of Eve's collapses, ``num_qubits`` per
+    row for each noisy stage, and one per row for Bob's measurement.
+
+    Returns:
+        Bob's outcome index and Eve's record code per row, in row order.
+    """
+    alice_idx = rng.integers(0, len(family), size=len(secrets))
+    bob_idx = rng.integers(0, len(family), size=len(secrets))
+    outcomes = np.empty(len(secrets), dtype=np.int64)
+    codes = np.zeros(len(secrets), dtype=np.int64)
+
+    def collapse(probs, weights):
+        return None, _born_draw(probs, rng), None
+
+    for rows, final, row_codes, _ in run_passes(
+        family, ctx, secrets, alice_idx, bob_idx, collapse, rng
+    ):
+        outcomes[rows] = _born_draw(final, rng)
+        codes[rows] = row_codes
+    return outcomes, codes
+
+
+def decode_records(code: int, count: int, dim: int) -> tuple:
+    """Eve's outcome per intercepted stage, in stage order, from a record code."""
+    return tuple(code // dim ** (count - 1 - i) % dim for i in range(count))
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Configuration of a multi-block key session."""
@@ -166,7 +280,6 @@ class SessionReport:
 
     alice_bits: tuple
     bob_bits: tuple
-    block_transcripts: tuple
     bit_error_rate: float
     eve_guess_success_rate: float | None
 
@@ -180,10 +293,12 @@ def run_key_session(
     Per block: Alice draws a uniformly random basis secret (one bit for
     dimension-2 families, two bits for dimension-4), both parties draw
     family members uniformly and independently, and one three-stage run
-    executes.  Bob's bits come from measuring each recovered state.
+    executes.  Bob's bits come from measuring each recovered state.  Use
+    `run_three_stage` for the transcript of a single run.
 
-    The block random stream is derived from (session seed, block index), so
-    identical configs reproduce identical reports bit for bit.
+    One stream seeded by the session seed draws every block's secret and
+    then everything `sample_passes` draws, so identical configs reproduce
+    identical reports bit for bit.
 
     Args:
         config: Session parameters; the family name must be in the catalog.
@@ -195,37 +310,25 @@ def run_key_session(
         ValueError: If the family name is unknown.
     """
     family = get_family(config.family_name)
-    num_qubits = family.dim.bit_length() - 1
-    channel = ChannelContext(eve=config.eve_strategy, noise=config.noise)
-    member_count = len(family)
-    alice_bits: list[int] = []
-    bob_bits: list[int] = []
-    transcripts = []
-    guesses_right = []
-    for block in range(config.blocks):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(block,))
-        )
-        secret_index = int(rng.integers(0, family.dim))
-        alice_op = family.members[int(rng.integers(0, member_count))]
-        bob_op = family.members[int(rng.integers(0, member_count))]
-        transcript = run_three_stage(
-            basis_state(secret_index, num_qubits), alice_op, bob_op, channel, rng
-        )
-        alice_bits.extend(Outcome.from_index(secret_index, num_qubits).bits)
-        bob_bits.extend(transcript.measured.bits)
-        transcripts.append(transcript)
-        if eve_guesser is not None and config.eve_strategy is not None:
-            record_key = tuple(outcome.index for _, outcome in transcript.eve_records)
-            guesses_right.append(int(eve_guesser(record_key) == secret_index))
-    mismatches = sum(a != b for a, b in zip(alice_bits, bob_bits))
-    success_rate = (
-        sum(guesses_right) / len(guesses_right) if guesses_right else None
-    )
+    dim = family.dim
+    eve = config.eve_strategy
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
+    secrets = rng.integers(0, dim, size=config.blocks)
+    channel = ChannelContext(eve=eve, noise=config.noise)
+    outcomes, codes = sample_passes(family, channel, secrets, rng)
+    # Bits of each index, most significant (qubit 0) first.
+    shifts = np.arange(dim.bit_length() - 2, -1, -1)
+    alice_bits = (secrets[:, None] >> shifts & 1).ravel()
+    bob_bits = (outcomes[:, None] >> shifts & 1).ravel()
+    success_rate = None
+    if eve_guesser is not None and eve is not None:
+        count = sum(eve.attacks(stage) for stage in STAGES)
+        seen, inverse = np.unique(codes, return_inverse=True)
+        guesses = np.array([eve_guesser(decode_records(int(c), count, dim)) for c in seen])
+        success_rate = int((guesses[inverse] == secrets).sum()) / config.blocks
     return SessionReport(
-        alice_bits=tuple(alice_bits),
-        bob_bits=tuple(bob_bits),
-        block_transcripts=tuple(transcripts),
-        bit_error_rate=mismatches / len(alice_bits),
+        alice_bits=tuple(alice_bits.tolist()),
+        bob_bits=tuple(bob_bits.tolist()),
+        bit_error_rate=int((alice_bits != bob_bits).sum()) / alice_bits.size,
         eve_guess_success_rate=success_rate,
     )

@@ -32,9 +32,7 @@ class ParityRound:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.subset_mask.bit_length()) if self.subset_mask >> i & 1
-        )
+        return tuple(_set_bits(self.subset_mask).tolist())
 
     @property
     def mismatch(self) -> bool:
@@ -50,13 +48,25 @@ class SiftReport:
     disclosed_indices: frozenset
 
 
+def _set_bits(mask: int) -> np.ndarray:
+    """Positions of the set bits of ``mask``, ascending."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def _bits_to_int(bits: np.ndarray) -> int:
+    """The integer whose bit i is ``bits[i]`` (entries 0 or 1)."""
+    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 def _key_to_int(key, side: str) -> int:
-    value = 0
-    for i, bit in enumerate(key):
-        if bit not in (0, 1):
-            raise ValueError(f"{side} key must contain bits, got {bit!r} at index {i}")
-        value |= bit << i
-    return value
+    bits = np.asarray(key)
+    bad = np.flatnonzero((bits != 0) & (bits != 1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{side} key must contain bits, got {key[i]!r} at index {i}")
+    return _bits_to_int(bits)
 
 
 def parity_check(
@@ -68,8 +78,8 @@ def parity_check(
     """Compare parities of uniformly random nonempty key subsets.
 
     Args:
-        alice_key: Alice's bit list.
-        bob_key: Bob's bit list, same length.
+        alice_key: Alice's bits, as a sequence or a numpy array.
+        bob_key: Bob's bits, same length.
         rounds: How many independent subsets to draw; each consumes the
             bits it touches (they become disclosed).
         rng: Random stream for the subset draws.
@@ -101,7 +111,7 @@ def parity_check(
                 bits = rng.integers(0, 2, size=length)
                 if bits.any():
                     break
-            masks.append(sum(int(b) << i for i, b in enumerate(bits)))
+            masks.append(_bits_to_int(bits))
     round_results = []
     union = 0
     for mask in masks:
@@ -116,7 +126,7 @@ def parity_check(
     return SiftReport(
         rounds=tuple(round_results),
         detected=any(r.mismatch for r in round_results),
-        disclosed_indices=frozenset(i for i in range(length) if union >> i & 1),
+        disclosed_indices=frozenset(_set_bits(union).tolist()),
     )
 
 

@@ -127,6 +127,13 @@ class TestDecisionTable:
         assert table[(0,)] == 0
         assert table[(1,)] == 1
 
+    def test_records_are_keyed_in_stage_order(self):
+        """Stages 1 and 2 of the superposing family: the stage-one outcome
+        is the secret whenever Alice did not superpose, so every guess
+        follows it, whatever stage two read."""
+        table = map_decision_table(get_family("hadamard"), _stage_eve(1, 2))
+        assert table == {(first, second): first for first in (0, 1) for second in (0, 1)}
+
 
 class TestMonteCarlo:
     def test_agrees_with_enumeration(self):

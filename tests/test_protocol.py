@@ -17,6 +17,7 @@ from tristage import (
     commutation_phase,
     compose,
     equal_up_to_global_phase,
+    exact_analysis,
     family_names,
     get_family,
     hadamard_family,
@@ -26,6 +27,7 @@ from tristage import (
     run_three_stage,
     verify_recovery,
 )
+from tristage.opsets import operator_catalog
 from tristage.protocol import STAGES, Transcript
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -34,6 +36,18 @@ CLEAN = ChannelContext()
 
 def _clean_run(secret, alice_op, bob_op, seed=0):
     return run_three_stage(secret, alice_op, bob_op, CLEAN, np.random.default_rng(seed))
+
+
+def _random_runs(name, runs, channel, seed):
+    """Transcripts of runs with a uniform basis secret and uniform members."""
+    fam = get_family(name)
+    num_qubits = fam.dim.bit_length() - 1
+    rng = np.random.default_rng(seed)
+    for _ in range(runs):
+        secret = basis_state(int(rng.integers(0, fam.dim)), num_qubits)
+        alice_op = fam.members[int(rng.integers(0, len(fam)))]
+        bob_op = fam.members[int(rng.integers(0, len(fam)))]
+        yield run_three_stage(secret, alice_op, bob_op, channel, rng)
 
 
 class TestSingleRuns:
@@ -179,7 +193,6 @@ class TestKeySessions:
     def test_two_qubit_families_carry_two_bits_per_block(self):
         report = run_key_session(SessionConfig(family_name="dft", blocks=100, seed=4))
         assert len(report.bob_bits) == 200
-        assert len(report.block_transcripts) == 100
 
     def test_sessions_are_deterministic(self):
         eve = EveStrategy(stages={StageLabel.ALICE_TO_BOB_1})
@@ -209,17 +222,45 @@ class TestKeySessions:
 
     def test_eve_records_present_in_transcripts(self):
         eve = EveStrategy(stages={StageLabel.BOB_TO_ALICE_2, StageLabel.ALICE_TO_BOB_3})
-        report = run_key_session(
-            SessionConfig(family_name="pauli", blocks=3, eve_strategy=eve, seed=1)
-        )
-        for t in report.block_transcripts:
+        for t in _random_runs("pauli", 3, ChannelContext(eve=eve), seed=1):
             stages = [stage for stage, _ in t.eve_records]
             assert stages == [StageLabel.BOB_TO_ALICE_2, StageLabel.ALICE_TO_BOB_3]
 
     def test_recovery_holds_up_to_phase_despite_global_factor(self):
-        report = run_key_session(SessionConfig(family_name="quaternion", blocks=30, seed=8))
-        for t in report.block_transcripts:
+        for t in _random_runs("quaternion", 30, CLEAN, seed=8):
             assert equal_up_to_global_phase(t.recovered, t.secret)
+
+    def test_session_rates_match_exact_average_over_secrets(self):
+        """Each block draws its own secret.  With Eve at every stage, in the
+        computational basis and in one rotated basis per dimension, the
+        session's rates lie within 4 standard errors of the exact rates
+        averaged over secrets."""
+        blocks = 4000
+        for name in family_names():
+            fam = get_family(name)
+            num_qubits = fam.dim.bit_length() - 1
+            rotated = operator_catalog(fam.dim)[{2: "H", 4: "DFT4"}[fam.dim]]
+            for rotation in (None, rotated):
+                eve = EveStrategy(stages=set(STAGES), pre_rotation=rotation)
+                report = run_key_session(
+                    SessionConfig(
+                        family_name=name, blocks=blocks, eve_strategy=eve, seed=31
+                    ),
+                    eve_guesser=map_guesser(fam, eve),
+                )
+                exact = [
+                    exact_analysis(fam, eve, basis_state(index, num_qubits))
+                    for index in range(fam.dim)
+                ]
+                for rate, observed in [
+                    ("bit_error_rate", report.bit_error_rate),
+                    ("eve_guess_success_rate", report.eve_guess_success_rate),
+                ]:
+                    expected = np.mean([getattr(r, rate) for r in exact])
+                    stderr = math.sqrt(expected * (1.0 - expected) / blocks)
+                    assert abs(observed - expected) <= 4 * stderr + 1e-12, (
+                        name, rotation and rotation.label, rate, observed, expected
+                    )
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

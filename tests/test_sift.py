@@ -25,19 +25,20 @@ class TestParityCheck:
 
     def test_parities_match_recomputation(self):
         rng = np.random.default_rng(7)
-        alice = tuple(int(b) for b in rng.integers(0, 2, size=12))
-        bob = flip(alice, [3, 8])
-        report = parity_check(alice, bob, rounds=40, rng=rng)
-        for rnd in report.rounds:
-            assert rnd.indices
-            want_a = 0
-            want_b = 0
-            for i in rnd.indices:
-                want_a ^= alice[i]
-                want_b ^= bob[i]
-            assert rnd.alice_parity == want_a
-            assert rnd.bob_parity == want_b
-            assert rnd.mismatch == (want_a != want_b)
+        for length, rounds in ((12, 40), (100_000, 5)):
+            alice = tuple(int(b) for b in rng.integers(0, 2, size=length))
+            bob = flip(alice, [3, 8])
+            report = parity_check(alice, bob, rounds=rounds, rng=rng)
+            for rnd in report.rounds:
+                assert rnd.indices
+                want_a = 0
+                want_b = 0
+                for i in rnd.indices:
+                    want_a ^= alice[i]
+                    want_b ^= bob[i]
+                assert rnd.alice_parity == want_a
+                assert rnd.bob_parity == want_b
+                assert rnd.mismatch == (want_a != want_b)
 
     def test_detected_iff_some_round_mismatches(self):
         rng = np.random.default_rng(11)
@@ -48,12 +49,23 @@ class TestParityCheck:
 
     def test_disclosed_indices_union_of_rounds(self):
         rng = np.random.default_rng(21)
-        key = (0, 1) * 5
-        report = parity_check(key, key, rounds=6, rng=rng)
-        union = set()
-        for rnd in report.rounds:
-            union.update(rnd.indices)
-        assert report.disclosed_indices == frozenset(union)
+        for key in ((0, 1) * 5, (0, 1) * 50_000):
+            report = parity_check(key, key, rounds=6, rng=rng)
+            union = set()
+            for rnd in report.rounds:
+                union.update(rnd.indices)
+            assert report.disclosed_indices == frozenset(union)
+
+    def test_numpy_keys_match_list_keys(self):
+        for length in (50, 200):
+            alice, bob = np.random.default_rng(length).integers(0, 2, size=(2, length)).tolist()
+            want = parity_check(alice, bob, rounds=8, rng=np.random.default_rng(3))
+            for dtype in (np.uint8, np.int64, bool):
+                got = parity_check(
+                    np.array(alice, dtype), np.array(bob, dtype), rounds=8,
+                    rng=np.random.default_rng(3),
+                )
+                assert got == want, (length, dtype)
 
     def test_single_round_detection_rate_matches_formula(self):
         # One flipped bit, one round: detection chance is 2^(n-1)/(2^n - 1).
