@@ -8,6 +8,12 @@ draw per random event of a per-run simulation, without per-run overhead.
 Tests drive both against each other and against the per-run reference
 `protocol.run_three_stage`.
 
+One enumeration covers every basis secret at once, and the last one is
+kept: calls that pass the same family and Eve objects as the call before
+(a sweep over secrets, or a MAP table followed by exact rates) reuse it.
+The reuse goes by object identity, not equality, so an equal family or
+strategy built anew enumerates anew.
+
 The eavesdropper's guess is maximum-a-posteriori on a noise-free channel:
 from the exact joint distribution of (secret, records) under uniform
 secrets and operator choices, each observable record tuple maps to the most
@@ -76,6 +82,11 @@ class MonteCarloAnalysis:
     eve_guess_success_rate_stderr: float | None
 
 
+def _require_eve(eve: EveStrategy | None) -> None:
+    if eve is None:
+        raise ValueError("no eavesdropper: pass an EveStrategy, not None")
+
+
 def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
     if family.dim != secret.dim:
         raise ValueError(f"family dim {family.dim} does not match secret dim {secret.dim}")
@@ -124,13 +135,69 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Branches:
     return _Branches(secrets, codes, probs, dists, likelihood.argmax(axis=1), stage_count)
 
 
+def _rates(family: OperatorFamily, branches: _Branches) -> tuple[ExactAnalysis, ...]:
+    """`ExactAnalysis` of every basis secret, from one enumeration."""
+    num_qubits = family.dim.bit_length() - 1
+    rates = []
+    for index, hamming in enumerate(_hamming_table(family.dim)):
+        mine = branches.secrets == index
+        probs, dists = branches.probs[mine], branches.dists[mine]
+        total = float(probs.sum())
+        if abs(total - 1.0) > _CONSERVATION_TOL:
+            raise RuntimeError(
+                f"branch probabilities of secret {index} sum to {total!r}, expected 1")
+        guessed = branches.guess_by_code[branches.codes[mine]] == index
+        rates.append(ExactAnalysis(
+            bit_error_rate=float(probs @ (dists @ hamming)) / num_qubits,
+            detection_relevant_disturbance=float(probs @ (1.0 - dists[:, index])),
+            eve_guess_success_rate=float(probs[guessed].sum()),
+            branch_count=int(mine.sum()),
+        ))
+    return tuple(rates)
+
+
+@dataclass
+class _Memo:
+    """One enumeration, kept for the family and Eve objects that made it.
+
+    Holding both objects keeps their ids from being reused by others.  The
+    per-secret rates are filled on the first `exact_analysis` call only, so
+    MAP tables and Monte Carlo runs never pay for them.
+    """
+
+    family: OperatorFamily
+    eve: EveStrategy
+    branches: _Branches
+    rates: tuple[ExactAnalysis, ...] | None = None
+
+
+_last: _Memo | None = None
+
+
+def _memo(family: OperatorFamily, eve: EveStrategy) -> _Memo:
+    """The last enumeration if it was made for these very objects, else a new one.
+
+    The entry is replaced whole, never edited in place (its lazily filled
+    rates aside), so concurrent callers each read a consistent entry.
+    """
+    global _last
+    memo = _last
+    if memo is None or memo.family is not family or memo.eve is not eve:
+        memo = _last = _Memo(family, eve, _enumerate(family, eve))
+    return memo
+
+
 def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
     """MAP guess per observable record tuple, from the exact joint law.
 
     Built by enumerating every basis secret with uniform prior; ties break
     toward the lowest secret index, making the table deterministic.
+
+    Raises:
+        ValueError: If ``eve`` is None.
     """
-    branches = _enumerate(family, eve)
+    _require_eve(eve)
+    branches = _memo(family, eve).branches
     count, guess = branches.stage_count, branches.guess_by_code
     return {decode_records(int(c), count, family.dim): int(guess[c])
             for c in np.unique(branches.codes)}
@@ -154,25 +221,18 @@ def exact_analysis(
         secret: A computational basis state of the family's dimension.
 
     Raises:
-        ValueError: If dimensions disagree or the secret is not a basis state.
-        RuntimeError: If the enumerated branch probabilities fail to sum
-            to one, which would indicate a broken enumeration.
+        ValueError: If ``eve`` is None, dimensions disagree or the secret is
+            not a basis state.
+        RuntimeError: If the enumerated branch probabilities of any basis
+            secret fail to sum to one, which would indicate a broken
+            enumeration.
     """
+    _require_eve(eve)
     secret_index = _secret_index(family, secret)
-    branches = _enumerate(family, eve)
-    mine = branches.secrets == secret_index
-    probs, dists = branches.probs[mine], branches.dists[mine]
-    total = float(probs.sum())
-    if abs(total - 1.0) > _CONSERVATION_TOL:
-        raise RuntimeError(f"branch probabilities sum to {total!r}, expected 1")
-    hamming = _hamming_table(family.dim)[secret_index]
-    guessed = branches.guess_by_code[branches.codes[mine]] == secret_index
-    return ExactAnalysis(
-        bit_error_rate=float(probs @ (dists @ hamming)) / secret.num_qubits,
-        detection_relevant_disturbance=float(probs @ (1.0 - dists[:, secret_index])),
-        eve_guess_success_rate=float(probs[guessed].sum()),
-        branch_count=int(mine.sum()),
-    )
+    memo = _memo(family, eve)
+    if memo.rates is None:
+        memo.rates = _rates(family, memo.branches)
+    return memo.rates[secret_index]
 
 
 def monte_carlo_analysis(
@@ -214,7 +274,7 @@ def monte_carlo_analysis(
     disturbance_stderr = math.sqrt(disturbance * (1.0 - disturbance) / trials)
     success = success_stderr = None
     if ctx.eve is not None:
-        right = _enumerate(family, ctx.eve).guess_by_code[record_codes] == secret_index
+        right = _memo(family, ctx.eve).branches.guess_by_code[record_codes] == secret_index
         success = float(right.mean())
         success_stderr = math.sqrt(success * (1.0 - success) / trials)
     return MonteCarloAnalysis(

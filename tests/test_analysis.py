@@ -21,6 +21,7 @@ from tristage import (
     monte_carlo_analysis,
     run_three_stage,
 )
+from tristage import analysis, cli
 
 STAGE_1 = StageLabel.ALICE_TO_BOB_1
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -220,3 +221,102 @@ class TestMonteCarlo:
             monte_carlo_analysis(
                 get_family("pauli"), ChannelContext(), basis_state(0, 1), trials=0, seed=0
             )
+
+
+class TestEveRequired:
+    """A missing eavesdropper is named at the entry point, before any
+    enumeration starts."""
+
+    @pytest.mark.parametrize("call", [
+        lambda fam: exact_analysis(fam, None, basis_state(0, 1)),
+        lambda fam: map_decision_table(fam, None),
+        lambda fam: map_guesser(fam, None),
+    ])
+    def test_none_rejected(self, call, monkeypatch):
+        monkeypatch.setattr(analysis, "_enumerate", None)
+        with pytest.raises(ValueError, match="eavesdropper"):
+            call(get_family("hadamard"))
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Count the calls to `analysis._enumerate` made during a test."""
+    calls = []
+    enumerate_all = analysis._enumerate
+
+    def counted(family, eve):
+        calls.append((family, eve))
+        return enumerate_all(family, eve)
+
+    monkeypatch.setattr(analysis, "_enumerate", counted)
+    return calls
+
+
+def _secrets(fam):
+    num_qubits = fam.dim.bit_length() - 1
+    return [basis_state(index, num_qubits) for index in range(fam.dim)]
+
+
+def _dft_eve():
+    rotation = get_family("dft").member("DFT4")
+    return EveStrategy(stages={StageLabel(n) for n in (1, 2, 3)}, pre_rotation=rotation)
+
+
+def _fresh(fam, eve):
+    """Every secret's rates from a new enumeration, bypassing the memo."""
+    return analysis._rates(fam, analysis._enumerate(fam, eve))
+
+
+class TestEnumerationReuse:
+    def test_exact_sweep_enumerates_once(self, enumerations):
+        fam, eve = get_family("dft"), _dft_eve()
+        results = [exact_analysis(fam, eve, secret) for secret in _secrets(fam)]
+        assert len(enumerations) == 1
+        assert tuple(results) == _fresh(fam, eve)
+
+    def test_monte_carlo_sweep_enumerates_once(self, enumerations):
+        fam, ctx = get_family("dft"), ChannelContext(eve=_dft_eve())
+        for index, secret in enumerate(_secrets(fam)):
+            monte_carlo_analysis(fam, ctx, secret, trials=200, seed=index)
+        assert len(enumerations) == 1
+
+    def test_cli_exact_mode_enumerates_once(self, enumerations):
+        config = cli.parse_arguments(["run", "--family", "quaternion", "--mode", "exact",
+                                      "--eve-stages", "1,3", "--blocks", "20"])
+        cli.run_experiment(config)
+        assert len(enumerations) == 1
+
+    def test_tables_and_sampling_skip_exact_rates(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_rates", None)
+        fam, eve = get_family("controlled-pair"), _stage_eve(1, 2)
+        map_decision_table(fam, eve)
+        map_guesser(fam, eve)
+        monte_carlo_analysis(fam, ChannelContext(eve=eve), basis_state(3, 2),
+                             trials=100, seed=1)
+
+    def test_alternating_strategies_match_fresh_results(self, enumerations):
+        fam = get_family("dft")
+        a, b, a_twin = _stage_eve(1), _stage_eve(2, 3), _stage_eve(1)
+        assert a == a_twin and a is not a_twin
+        expected = {id(a): _fresh(fam, a), id(b): _fresh(fam, b), id(a_twin): _fresh(fam, a)}
+        enumerations.clear()
+        for eve in (a, b, a, a_twin):
+            for index, secret in reversed(list(enumerate(_secrets(fam)))):
+                assert exact_analysis(fam, eve, secret) == expected[id(eve)][index]
+        assert len(enumerations) == 4
+
+    def test_validation_runs_on_every_call(self):
+        pauli, eve = get_family("pauli"), _stage_eve(1)
+        plus = StateVector(1, np.array([INV_SQRT2, INV_SQRT2]))
+        h = get_family("hadamard").member("H")
+        rotated = EveStrategy(stages={STAGE_1}, pre_rotation=h)
+        for _ in range(2):
+            exact_analysis(pauli, eve, basis_state(1, 1))
+            with pytest.raises(ValueError, match="dim"):
+                exact_analysis(pauli, eve, basis_state(0, 2))
+            exact_analysis(pauli, eve, basis_state(0, 1))
+            with pytest.raises(ValueError, match="basis"):
+                exact_analysis(pauli, eve, plus)
+            exact_analysis(get_family("hadamard"), rotated, basis_state(0, 1))
+            with pytest.raises(ValueError, match="pre-rotation"):
+                exact_analysis(get_family("dft"), rotated, basis_state(0, 2))
