@@ -15,18 +15,31 @@ un-rotates before forwarding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .qcore import Outcome, StateVector, UnitaryOperator, adjoint, apply, measure
 
-if TYPE_CHECKING:
-    from .protocol import StageLabel
-
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+class StageLabel(Enum):
+    """The three transmissions of one protocol run, in order."""
+
+    ALICE_TO_BOB_1 = 1
+    BOB_TO_ALICE_2 = 2
+    ALICE_TO_BOB_3 = 3
+
+    @property
+    def number(self) -> int:
+        return self.value
+
+
+#: The stages in transmission order.
+STAGES: tuple[StageLabel, ...] = tuple(StageLabel)
 
 
 @cache
@@ -43,7 +56,8 @@ class EveStrategy:
     """Intercept-resend attack plan.
 
     Args:
-        stages: Non-empty set of stage labels to intercept.
+        stages: Non-empty set of `StageLabel` values to intercept; any
+            other value raises ValueError.
         pre_rotation: Optional unitary defining the measurement basis; None
             means the computational basis.
     """
@@ -55,6 +69,9 @@ class EveStrategy:
         object.__setattr__(self, "stages", frozenset(self.stages))
         if not self.stages:
             raise ValueError("an eavesdropping strategy needs at least one stage")
+        for stage in self.stages:
+            if not isinstance(stage, StageLabel):
+                raise ValueError(f"stage {stage!r} is not a StageLabel")
 
     def attacks(self, stage: StageLabel) -> bool:
         return stage in self.stages

@@ -9,10 +9,11 @@ Tests drive both against each other and against the per-run reference
 `protocol.run_three_stage`.
 
 One enumeration covers every basis secret at once, and the last one is
-kept: calls that pass the same family and Eve objects as the call before
-(a sweep over secrets, or a MAP table followed by exact rates) reuse it.
-The reuse goes by object identity, not equality, so an equal family or
-strategy built anew enumerates anew.
+kept: calls whose family and Eve equal those of the call before (a sweep
+over secrets, or a MAP table followed by exact rates) reuse it, whether
+the objects are the same or were built separately.  The per-secret exact
+rates are kept the same way and computed only when `exact_analysis` asks
+for them, so MAP tables and Monte Carlo runs never pay for them.
 
 The eavesdropper's guess is maximum-a-posteriori on a noise-free channel:
 from the exact joint distribution of (secret, records) under uniform
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -156,35 +157,16 @@ def _rates(family: OperatorFamily, branches: _Branches) -> tuple[ExactAnalysis, 
     return tuple(rates)
 
 
-@dataclass
-class _Memo:
-    """One enumeration, kept for the family and Eve objects that made it.
-
-    Holding both objects keeps their ids from being reused by others.  The
-    per-secret rates are filled on the first `exact_analysis` call only, so
-    MAP tables and Monte Carlo runs never pay for them.
-    """
-
-    family: OperatorFamily
-    eve: EveStrategy
-    branches: _Branches
-    rates: tuple[ExactAnalysis, ...] | None = None
+@lru_cache(maxsize=1)
+def _law(family: OperatorFamily, eve: EveStrategy) -> _Branches:
+    """The enumeration of the last (family, Eve) pair, compared by value."""
+    return _enumerate(family, eve)
 
 
-_last: _Memo | None = None
-
-
-def _memo(family: OperatorFamily, eve: EveStrategy) -> _Memo:
-    """The last enumeration if it was made for these very objects, else a new one.
-
-    The entry is replaced whole, never edited in place (its lazily filled
-    rates aside), so concurrent callers each read a consistent entry.
-    """
-    global _last
-    memo = _last
-    if memo is None or memo.family is not family or memo.eve is not eve:
-        memo = _last = _Memo(family, eve, _enumerate(family, eve))
-    return memo
+@lru_cache(maxsize=1)
+def _exact(family: OperatorFamily, eve: EveStrategy) -> tuple[ExactAnalysis, ...]:
+    """Every basis secret's rates, filled only when exact rates are asked for."""
+    return _rates(family, _law(family, eve))
 
 
 def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
@@ -197,7 +179,7 @@ def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
         ValueError: If ``eve`` is None.
     """
     _require_eve(eve)
-    branches = _memo(family, eve).branches
+    branches = _law(family, eve)
     count, guess = branches.stage_count, branches.guess_by_code
     return {decode_records(int(c), count, family.dim): int(guess[c])
             for c in np.unique(branches.codes)}
@@ -229,10 +211,7 @@ def exact_analysis(
     """
     _require_eve(eve)
     secret_index = _secret_index(family, secret)
-    memo = _memo(family, eve)
-    if memo.rates is None:
-        memo.rates = _rates(family, memo.branches)
-    return memo.rates[secret_index]
+    return _exact(family, eve)[secret_index]
 
 
 def monte_carlo_analysis(
@@ -274,7 +253,7 @@ def monte_carlo_analysis(
     disturbance_stderr = math.sqrt(disturbance * (1.0 - disturbance) / trials)
     success = success_stderr = None
     if ctx.eve is not None:
-        right = _memo(family, ctx.eve).branches.guess_by_code[record_codes] == secret_index
+        right = _law(family, ctx.eve).guess_by_code[record_codes] == secret_index
         success = float(right.mean())
         success_stderr = math.sqrt(success * (1.0 - success) / trials)
     return MonteCarloAnalysis(

@@ -23,7 +23,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -98,15 +98,15 @@ class ExperimentReport:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
         """Rebuild a report from its `dataclasses.asdict` form or parsed JSON."""
-        fields = dict(data)
+        parts = dict(data)
         config = dict(data["config"], eve_stages=tuple(data["config"]["eve_stages"]))
-        fields["config"] = ExperimentConfig(**config)
-        fields["per_trial"] = tuple(PerTrialResult(**row) for row in data["per_trial"])
+        parts["config"] = ExperimentConfig(**config)
+        parts["per_trial"] = tuple(PerTrialResult(**row) for row in data["per_trial"])
         if data["exact"] is not None:
-            fields["exact"] = ExactSummary(**data["exact"])
+            parts["exact"] = ExactSummary(**data["exact"])
         if data["deltas"] is not None:
-            fields["deltas"] = DeltaSummary(**data["deltas"])
-        return cls(**fields)
+            parts["deltas"] = DeltaSummary(**data["deltas"])
+        return cls(**parts)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -381,50 +381,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return value
+
+
 def render_csv(report: ExperimentReport) -> str:
     """Flatten the report to one CSV row per trial."""
+    config = asdict(report.config)
+    del config["output"]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "schema_version",
-            "family",
-            "blocks",
-            "trials",
-            "eve_stages",
-            "eve_basis",
-            "noise",
-            "parity_rounds",
-            "seed",
-            "mode",
-            "trial",
-            "bit_error_rate",
-            "parity_detected",
-            "eve_guess_success_rate",
-        ]
-    )
-    cfg = report.config
+    writer.writerow(["schema_version", *config, *(f.name for f in fields(PerTrialResult))])
     for row in report.per_trial:
-        writer.writerow(
-            [
-                report.schema_version,
-                cfg.family,
-                cfg.blocks,
-                cfg.trials,
-                ",".join(str(s) for s in cfg.eve_stages),
-                cfg.eve_basis if cfg.eve_basis is not None else "",
-                cfg.noise,
-                cfg.parity_rounds,
-                cfg.seed,
-                cfg.mode,
-                row.trial,
-                row.bit_error_rate,
-                "true" if row.parity_detected else "false",
-                row.eve_guess_success_rate
-                if row.eve_guess_success_rate is not None
-                else "",
-            ]
-        )
+        cells = [report.schema_version, *config.values(), *astuple(row)]
+        writer.writerow([_csv_cell(cell) for cell in cells])
     return buffer.getvalue()
 
 

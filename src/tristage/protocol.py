@@ -17,12 +17,11 @@ session seed, so identical configs reproduce identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .adversary import ChannelContext, EveStrategy, NoiseModel, transmit
+from .adversary import STAGES, ChannelContext, EveStrategy, NoiseModel, StageLabel, transmit
 from .opsets import OperatorFamily, commutation_phase, get_family
 from .qcore import (
     DEFAULT_TOL,
@@ -34,22 +33,6 @@ from .qcore import (
     equal_up_to_global_phase,
     measure,
 )
-
-
-class StageLabel(Enum):
-    """The three transmissions of one protocol run, in order."""
-
-    ALICE_TO_BOB_1 = 1
-    BOB_TO_ALICE_2 = 2
-    ALICE_TO_BOB_3 = 3
-
-    @property
-    def number(self) -> int:
-        return self.value
-
-
-#: The stages in transmission order.
-STAGES: tuple[StageLabel, ...] = tuple(StageLabel)
 
 
 class NonCommutingOperatorsError(ValueError):

@@ -146,6 +146,9 @@ class UnitaryOperator:
             return NotImplemented
         return self.label == other.label and bool(np.array_equal(self.matrix, other.matrix))
 
+    def __hash__(self) -> int:
+        return hash(self.label)
+
     def __repr__(self) -> str:
         return f"UnitaryOperator({self.label!r}, dim={self.dim})"
 

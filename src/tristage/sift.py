@@ -62,6 +62,8 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 def _key_to_int(key, side: str) -> int:
     bits = np.asarray(key)
+    if bits.ndim != 1:
+        raise ValueError(f"{side} key must be one-dimensional, got shape {bits.shape}")
     bad = np.flatnonzero((bits != 0) & (bits != 1))
     if bad.size:
         i = int(bad[0])
@@ -89,7 +91,8 @@ def parity_check(
         disagree.
 
     Raises:
-        ValueError: On length mismatch, empty keys, or rounds < 1.
+        ValueError: On length mismatch, empty keys, keys that are not
+            one-dimensional, or rounds < 1.
     """
     if len(alice_key) != len(bob_key):
         raise ValueError(

@@ -36,6 +36,12 @@ class TestStrategyValidation:
         assert eve.attacks(STAGE_1)
         assert not eve.attacks(StageLabel.BOB_TO_ALICE_2)
 
+    def test_stages_must_be_stage_labels(self):
+        """Plain stage numbers would never match a StageLabel, leaving an
+        eavesdropper who intercepts nothing."""
+        with pytest.raises(ValueError, match="stage 2 is not a StageLabel"):
+            EveStrategy(stages={STAGE_1, 2})
+
     def test_noise_probability_range_checked(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             NoiseModel(bit_flip_probability=1.5)

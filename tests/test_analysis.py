@@ -9,8 +9,10 @@ from tristage import (
     ChannelContext,
     EveStrategy,
     NoiseModel,
+    OperatorFamily,
     StageLabel,
     StateVector,
+    UnitaryOperator,
     basis_preserving,
     basis_state,
     exact_analysis,
@@ -240,7 +242,13 @@ class TestEveRequired:
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Count the calls to `analysis._enumerate` made during a test."""
+    """Count the calls to `analysis._enumerate` made during a test.
+
+    The kept enumeration and rates are dropped first, so that an equal
+    family and Eve from an earlier test cannot serve the first call.
+    """
+    analysis._law.cache_clear()
+    analysis._exact.cache_clear()
     calls = []
     enumerate_all = analysis._enumerate
 
@@ -263,7 +271,7 @@ def _dft_eve():
 
 
 def _fresh(fam, eve):
-    """Every secret's rates from a new enumeration, bypassing the memo."""
+    """Every secret's rates from a new enumeration, bypassing the cache."""
     return analysis._rates(fam, analysis._enumerate(fam, eve))
 
 
@@ -295,6 +303,8 @@ class TestEnumerationReuse:
                              trials=100, seed=1)
 
     def test_alternating_strategies_match_fresh_results(self, enumerations):
+        """A, B, A enumerates three times; the twin equals the last A, so it
+        reuses that enumeration and adds none."""
         fam = get_family("dft")
         a, b, a_twin = _stage_eve(1), _stage_eve(2, 3), _stage_eve(1)
         assert a == a_twin and a is not a_twin
@@ -303,7 +313,26 @@ class TestEnumerationReuse:
         for eve in (a, b, a, a_twin):
             for index, secret in reversed(list(enumerate(_secrets(fam)))):
                 assert exact_analysis(fam, eve, secret) == expected[id(eve)][index]
-        assert len(enumerations) == 4
+        assert len(enumerations) == 3
+
+    def test_equal_objects_built_separately_share_one_enumeration(self, enumerations):
+        def build():
+            rotation = UnitaryOperator(get_family("dft").member("DFT4").matrix.copy(), "DFT4")
+            members = tuple(UnitaryOperator(m.matrix.copy(), m.label)
+                            for m in get_family("dft").members)
+            return (OperatorFamily("dft", members),
+                    EveStrategy(stages={StageLabel(n) for n in (1, 2, 3)},
+                                pre_rotation=rotation))
+
+        (fam, eve), (fam_twin, eve_twin) = build(), build()
+        assert fam is not fam_twin and eve is not eve_twin
+        expected = _fresh(fam, eve)
+        enumerations.clear()
+        table = map_decision_table(fam, eve)
+        rates = [exact_analysis(fam_twin, eve_twin, secret) for secret in _secrets(fam)]
+        assert map_decision_table(fam_twin, eve_twin) == table
+        assert tuple(rates) == expected
+        assert len(enumerations) == 1
 
     def test_validation_runs_on_every_call(self):
         pauli, eve = get_family("pauli"), _stage_eve(1)

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tristage
 from tristage import family_names
 from tristage.cli import (
     ExperimentReport,
@@ -232,10 +235,15 @@ class TestOtherCommands:
         assert "PASS" in out
 
     def test_module_entry_point(self):
+        """The child finds the package this test imported, even when only
+        pytest's own path setting put it on the path."""
+        source = str(Path(tristage.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tristage", "list-families"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "pauli" in proc.stdout

@@ -78,6 +78,15 @@ class TestUnitaryOperator:
         with pytest.raises(ValueError):
             x.matrix[0, 0] = 5.0
 
+    def test_equal_operators_hash_equal(self):
+        """Equal operators built separately hash alike, so families and
+        strategies holding them can key a cache by value."""
+        h = hadamard_family().member("H")
+        again = UnitaryOperator(h.matrix.copy(), "H")
+        assert again == h and again is not h
+        assert hash(again) == hash(h)
+        assert len({h, again}) == 1
+
     def test_transposed_input_accepted(self):
         """Non-contiguous input (e.g. a transpose view) is copied and checked."""
         h = hadamard_family().member("H")

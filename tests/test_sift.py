@@ -116,6 +116,13 @@ class TestParityCheckValidation:
         with pytest.raises(ValueError):
             parity_check((0, 1), (0, 1), rounds=0, rng=np.random.default_rng(0))
 
+    def test_keys_that_are_not_one_dimensional_rejected(self):
+        alice = np.zeros((2, 3), np.uint8)
+        bob = alice.copy()
+        bob[1, 2] = 1
+        with pytest.raises(ValueError, match="one-dimensional"):
+            parity_check(alice, bob, rounds=20, rng=np.random.default_rng(0))
+
     def test_non_bit_entries_rejected(self):
         with pytest.raises(ValueError):
             parity_check((0, 2), (0, 1), rounds=1, rng=np.random.default_rng(0))
