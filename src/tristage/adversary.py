@@ -16,14 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
 from .qcore import Outcome, StateVector, UnitaryOperator, adjoint, apply, measure
-
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 class StageLabel(Enum):
@@ -40,15 +36,6 @@ class StageLabel(Enum):
 
 #: The stages in transmission order.
 STAGES: tuple[StageLabel, ...] = tuple(StageLabel)
-
-
-@cache
-def _flip_operator(num_qubits: int, qubit: int) -> UnitaryOperator:
-    factors = [_PAULI_X if q == qubit else _IDENTITY_2 for q in range(num_qubits)]
-    matrix = factors[0]
-    for factor in factors[1:]:
-        matrix = np.kron(matrix, factor)
-    return UnitaryOperator(matrix, f"flip{qubit}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +127,9 @@ def transmit(
         else:
             record, psi = measure(psi, rng)
     if ctx.noise is not None:
-        p = ctx.noise.bit_flip_probability
-        for qubit in range(psi.num_qubits):
-            if rng.random() < p:
-                psi = apply(_flip_operator(psi.num_qubits, qubit), psi)
+        n = psi.num_qubits
+        for qubit in range(n):
+            if rng.random() < ctx.noise.bit_flip_probability:
+                flipped = np.arange(psi.dim) ^ (1 << (n - 1 - qubit))
+                psi = StateVector(n, psi.amplitudes[flipped])
     return psi, record

@@ -16,11 +16,17 @@ All wrapper types are immutable after construction (the underlying numpy
 buffers are marked read-only) and safe to share between threads.  Random
 sampling goes through an explicit `numpy.random.Generator` so that every
 stochastic operation is reproducible from a seed.
+
+Values are checked once, where they enter.  `basis_state` and
+`Outcome.from_index` check their arguments, not their exact 0/1 results, and
+`adjoint` checks each distinct operator once, then caches by value.  `apply`,
+`compose` and `tensor` check every product: factors within 1e-9 can drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +43,14 @@ def _as_readonly_complex(values, shape_kind: str) -> np.ndarray:
         raise ValueError(f"{shape_kind} entries must be finite (no NaN or infinity)")
     arr.setflags(write=False)
     return arr
+
+
+def _trusted(cls, **fields):
+    """Build a frozen value from fields valid by construction, skipping its checks."""
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
 
 
 def proportional_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
@@ -167,18 +181,18 @@ class Outcome:
     def __post_init__(self):
         if not self.bits:
             raise ValueError("bits must be non-empty")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
             raise ValueError(f"bits must be 0/1, got {self.bits}")
-        expected = int("".join(str(b) for b in self.bits), 2)
+        expected = sum(b << q for q, b in enumerate(reversed(self.bits)))
         if expected != self.index:
             raise ValueError(f"bits {self.bits} do not encode index {self.index}")
 
     @classmethod
     def from_index(cls, index: int, num_qubits: int) -> "Outcome":
-        if not 0 <= index < 2**num_qubits:
+        if num_qubits < 1 or not 0 <= index < 2**num_qubits:
             raise ValueError(f"index {index} out of range for {num_qubits} qubit(s)")
-        bits = tuple((index >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits))
-        return cls(index=index, bits=bits)
+        bits = tuple(int((index >> (num_qubits - 1 - q)) & 1) for q in range(num_qubits))
+        return _trusted(cls, index=index, bits=bits)
 
 
 def basis_state(index: int, num_qubits: int) -> StateVector:
@@ -197,7 +211,8 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubit(s)")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(num_qubits=num_qubits, amplitudes=amps)
+    amps.setflags(write=False)
+    return _trusted(StateVector, num_qubits=num_qubits, amplitudes=amps)
 
 
 def is_basis_state(psi: StateVector, tol: float = DEFAULT_TOL) -> int | None:
@@ -230,8 +245,9 @@ def compose(u: UnitaryOperator, v: UnitaryOperator) -> UnitaryOperator:
     return UnitaryOperator(matrix=u.matrix @ v.matrix, label=f"{u.label}·{v.label}")
 
 
+@lru_cache(maxsize=64)
 def adjoint(u: UnitaryOperator) -> UnitaryOperator:
-    """Return the conjugate transpose ``U†``."""
+    """Return the conjugate transpose ``U†``, cached by operator value."""
     return UnitaryOperator(matrix=u.matrix.conj().T, label=f"{u.label}†")
 
 
@@ -260,15 +276,9 @@ def measure(psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateV
     Returns:
         The sampled `Outcome` and the collapsed `StateVector`.
     """
-    probs = outcome_distribution(psi)
-    draw = rng.random()
-    acc = 0.0
-    index = len(probs) - 1
-    for k, p in enumerate(probs):
-        acc += p
-        if draw < acc:
-            index = k
-            break
+    # The first index whose running total exceeds the draw, else the last one.
+    cumulative = np.cumsum(outcome_distribution(psi))
+    index = min(int(np.searchsorted(cumulative, rng.random(), side="right")), psi.dim - 1)
     return Outcome.from_index(index, psi.num_qubits), basis_state(index, psi.num_qubits)
 
 

@@ -1,6 +1,7 @@
 """Channel interference: intercept-resend mechanics and bit-flip noise."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from tristage import (
     apply,
     basis_state,
     hadamard_family,
+    pauli_family,
+    tensor,
     transmit,
 )
 
@@ -23,6 +26,12 @@ STAGE_1 = StageLabel.ALICE_TO_BOB_1
 
 def _plus() -> StateVector:
     return StateVector(1, np.array([INV_SQRT2, INV_SQRT2]))
+
+
+def _random_state(num_qubits: int, seed: int) -> StateVector:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
 class TestStrategyValidation:
@@ -121,6 +130,30 @@ class TestNoise:
         ctx = ChannelContext(noise=NoiseModel(1.0))
         delivered, _ = transmit(STAGE_1, basis_state(0, 2), ctx, np.random.default_rng(0))
         assert delivered == basis_state(3, 2)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_certain_flips_match_x_on_every_qubit(self, num_qubits):
+        """Flipping by index permutation equals applying X (X⊗X on two
+        qubits) to a superposition."""
+        x = pauli_family().member("X")
+        flip_all = x if num_qubits == 1 else tensor(x, x)
+        psi = _random_state(num_qubits, seed=num_qubits)
+        ctx = ChannelContext(noise=NoiseModel(1.0))
+        delivered, _ = transmit(STAGE_1, psi, ctx, np.random.default_rng(0))
+        np.testing.assert_array_equal(delivered.amplitudes, apply(flip_all, psi).amplitudes)
+
+    @pytest.mark.parametrize(
+        "draws, left, right", [((0.0, 0.9), "X", "I"), ((0.9, 0.0), "I", "X")]
+    )
+    def test_single_flip_matches_x_on_that_qubit(self, draws, left, right):
+        """Draws that flip only qubit 0 give X⊗I; only qubit 1, I⊗X."""
+        paulis = pauli_family()
+        psi = _random_state(2, seed=3)
+        ctx = ChannelContext(noise=NoiseModel(0.5))
+        stub = SimpleNamespace(random=iter(draws).__next__)
+        delivered, _ = transmit(STAGE_1, psi, ctx, stub)
+        expected = apply(tensor(paulis.member(left), paulis.member(right)), psi)
+        np.testing.assert_array_equal(delivered.amplitudes, expected.amplitudes)
 
     def test_zero_probability_never_flips(self):
         ctx = ChannelContext(noise=NoiseModel(0.0))

@@ -11,6 +11,7 @@ from tristage import (
     NonCommutingOperatorsError,
     SessionConfig,
     StageLabel,
+    UnitaryOperator,
     adjoint,
     apply,
     basis_state,
@@ -103,14 +104,15 @@ class TestSingleRuns:
         assert t.wire_states[StageLabel.ALICE_TO_BOB_1] == expected
 
     def test_non_commuting_pair_refused(self):
-        with pytest.raises(NonCommutingOperatorsError):
-            run_three_stage(
-                basis_state(0, 1),
-                pauli_family().member("X"),
-                hadamard_family().member("H"),
-                CLEAN,
-                np.random.default_rng(0),
-            )
+        """Refused again when the pair repeats, and when an equal pair built
+        anew hits the commutation cache: a cached None still refuses."""
+        x, h = pauli_family().member("X"), hadamard_family().member("H")
+        twins = (UnitaryOperator(x.matrix.copy(), "X"), UnitaryOperator(h.matrix.copy(), "H"))
+        for alice_op, bob_op in [(x, h), (x, h), twins]:
+            with pytest.raises(NonCommutingOperatorsError):
+                run_three_stage(
+                    basis_state(0, 1), alice_op, bob_op, CLEAN, np.random.default_rng(0)
+                )
 
     def test_dimension_mismatch_refused(self):
         with pytest.raises(ValueError, match="dims"):

@@ -1,6 +1,7 @@
 """Core state/operator layer: construction rules, algebra, measurement."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,33 @@ from tristage import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _random_state(rng, num_qubits, zeros=()):
+    """A random normalized state, with the amplitudes at ``zeros`` set to 0."""
+    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    amps[list(zeros)] = 0.0
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def _loop_pick(probs, draw):
+    """Reference selection rule: the first index whose running total exceeds
+    the draw, else the last index."""
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if draw < acc:
+            return k
+    return len(probs) - 1
+
+
+def _measure_with_draw(psi, draw):
+    """Measure ``psi`` with a stand-in generator that holds one draw, and
+    check that exactly that one draw was consumed."""
+    draws = iter([draw])
+    outcome, collapsed = measure(psi, SimpleNamespace(random=draws.__next__))
+    assert next(draws, "spent") == "spent"
+    return outcome, collapsed
+
+
 class TestStateVector:
     def test_valid_construction(self):
         psi = StateVector(1, np.array([INV_SQRT2, INV_SQRT2]))
@@ -35,9 +63,15 @@ class TestStateVector:
         np.testing.assert_allclose(psi.amplitudes, [INV_SQRT2, INV_SQRT2])
 
     def test_amplitudes_are_read_only(self):
-        psi = basis_state(0, 1)
-        with pytest.raises(ValueError):
-            psi.amplitudes[0] = 0.0
+        """Basis states and measured collapses skip the constructor, which
+        is what marks amplitudes read-only elsewhere."""
+        rng = np.random.default_rng(4)
+        for num_qubits in (1, 2):
+            states = [basis_state(i, num_qubits) for i in range(2**num_qubits)]
+            states.append(measure(_random_state(rng, num_qubits), rng)[1])
+            for state in states:
+                with pytest.raises(ValueError):
+                    state.amplitudes[0] = 0.5
 
     def test_norm_violation_rejected(self):
         with pytest.raises(ValueError, match="norm"):
@@ -103,13 +137,31 @@ class TestOutcome:
     def test_single_qubit_bits(self):
         assert Outcome.from_index(1, 1).bits == (1,)
 
+    @pytest.mark.parametrize(
+        "index, num_qubits, bits",
+        [(0, 1, (0,)), (1, 1, (1,)),
+         (0, 2, (0, 0)), (1, 2, (0, 1)), (2, 2, (1, 0)), (3, 2, (1, 1))],
+    )
+    def test_from_index_matches_constructor(self, index, num_qubits, bits):
+        """from_index skips the constructor checks; its result must equal
+        the checked one, with plain int bits."""
+        outcome = Outcome.from_index(index, num_qubits)
+        assert outcome == Outcome(index, bits)
+        assert all(type(b) is int for b in outcome.bits)
+
     def test_inconsistent_bits_rejected(self):
         with pytest.raises(ValueError):
             Outcome(index=2, bits=(0, 1))
 
+    @pytest.mark.parametrize("bits", [(True,), (1.0,), (2,), ()])
+    def test_bits_that_are_not_0_1_ints_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits must be"):
+            Outcome(1, bits)
+
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError):
-            Outcome.from_index(4, 2)
+        for index, num_qubits in [(4, 2), (-1, 1), (0, 0)]:
+            with pytest.raises(ValueError, match="out of range"):
+                Outcome.from_index(index, num_qubits)
 
 
 class TestBasisStates:
@@ -175,6 +227,22 @@ class TestOperatorAlgebra:
         assert f.matrix[1, 1] == pytest.approx(0.5j)
         assert adjoint(f).matrix[1, 1] == pytest.approx(-0.5j)
 
+    def test_adjoint_of_equal_operators_built_separately(self):
+        """adjoint is cached by value: equal inputs give equal, read-only
+        results, and a different matrix under the same label does not hit
+        the cache."""
+        h = hadamard_family().member("H")
+        twin = UnitaryOperator(h.matrix.copy(), "H")
+        first, second = adjoint(h), adjoint(twin)
+        assert first == second
+        np.testing.assert_array_equal(first.matrix, h.matrix.conj().T)
+        for result in (first, second):
+            with pytest.raises(ValueError):
+                result.matrix[0, 0] = 0.0
+        z = pauli_family().member("Z")
+        impostor = UnitaryOperator(z.matrix, "H")
+        assert adjoint(impostor).matrix.tolist() == z.matrix.tolist()
+
     def test_adjoint_inverts(self):
         f = dft_family().member("DFT4")
         np.testing.assert_allclose(
@@ -221,6 +289,42 @@ class TestMeasurement:
         ones = sum(measure(psi, rng)[0].index for _ in range(10_000))
         # 3 sigma of a fair coin over 10^4 draws
         assert abs(ones / 10_000 - 0.5) < 3 * 0.005
+
+    def test_draw_at_or_above_total_picks_last_index(self):
+        """Round-off can leave the running total at or below a draw; the last
+        index is then the answer, as in the loop rule."""
+        rng = np.random.default_rng(17)
+        for num_qubits in (1, 2):
+            for _ in range(50):
+                psi = _random_state(rng, num_qubits)
+                total = np.cumsum(outcome_distribution(psi))[-1]
+                for draw in (total, np.nextafter(total, 2.0)):
+                    outcome, collapsed = _measure_with_draw(psi, draw)
+                    assert outcome.index == psi.dim - 1
+                    assert collapsed == basis_state(psi.dim - 1, num_qubits)
+
+    @pytest.mark.parametrize("zeros", [(0,), (1,), (0, 2), (1, 2), (0, 1, 3)])
+    def test_selection_matches_loop_and_skips_zero_probabilities(self, zeros):
+        """Every draw, including draws exactly on a running total, picks what
+        the loop rule picks; below the total it never picks an outcome of
+        probability zero."""
+        rng = np.random.default_rng(23)
+        psi = _random_state(rng, 2, zeros)
+        probs = outcome_distribution(psi)
+        cumulative = np.cumsum(probs)
+        for draw in [*rng.random(2000), 0.0, *cumulative]:
+            outcome, _ = _measure_with_draw(psi, draw)
+            assert outcome.index == _loop_pick(probs, draw)
+            if draw < cumulative[-1]:
+                assert probs[outcome.index] > 0
+
+    def test_measure_consumes_one_uniform(self):
+        psi = _random_state(np.random.default_rng(29), 2)
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(10):
+            measure(psi, rng)
+            twin.random()
+        assert rng.random() == twin.random()
 
     def test_measure_qubit_on_correlated_state(self):
         """Measuring qubit 0 of (|00>+|11>)/sqrt(2) collapses both qubits."""
