@@ -1,10 +1,12 @@
 """Exact and sampled statistics for eavesdropped protocol runs.
 
-Both routes run the protocol pipeline `protocol.run_passes`.
-`exact_analysis` enumerates every operator pair, basis secret and
-eavesdropper measurement branch with exact Born-rule weights, giving
-closed-form rates.  `monte_carlo_analysis` samples the same pipeline, one
-draw per random event of a per-run simulation, without per-run overhead.
+Both routes run the protocol pipeline `protocol.run_passes`, which keeps
+each row as an id into a table of distinct states.  `exact_analysis`
+enumerates every operator pair, basis secret and eavesdropper measurement
+branch with exact Born-rule weights, read from the table's probabilities
+through the row ids, giving closed-form rates.  `monte_carlo_analysis`
+samples the same pipeline, one draw per random event of a per-run
+simulation, without per-run overhead.
 Tests drive both against each other and against the per-run reference
 `protocol.run_three_stage`.
 
@@ -97,9 +99,9 @@ def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
     return index
 
 
-def _every_outcome(probs: np.ndarray, weights: np.ndarray):
+def _every_outcome(probs: np.ndarray, ids: np.ndarray, weights: np.ndarray):
     """Enumeration rule: every outcome of every row, with its weight."""
-    branch = weights[:, None] * probs
+    branch = weights[:, None] * probs[ids]
     take, outcomes = np.nonzero(branch > _PRUNE)
     return take, outcomes, branch[take, outcomes]
 
@@ -127,7 +129,8 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Branches:
     weights = np.full(secrets.size, 1.0 / count**2)
     passes = run_passes(family, ChannelContext(eve=eve), secrets, alice_idx, bob_idx,
                         _every_outcome, weights=weights)
-    rows, dists, codes, probs = map(np.concatenate, zip(*passes))
+    chunks = [(rows, final[ids], codes, probs) for rows, final, ids, codes, probs in passes]
+    rows, dists, codes, probs = map(np.concatenate, zip(*chunks))
     secrets = secrets[rows]
     stage_count = sum(eve.attacks(stage) for stage in STAGES)
     likelihood = np.bincount(
@@ -225,8 +228,8 @@ def monte_carlo_analysis(
 
     Each trial draws the two operators, collapses the state at every
     intercepted stage, applies per-qubit noise flips per transmission, and
-    measures the recovered state, all from one seeded stream.  Trials with
-    the same operator pair are simulated together as a batch of state rows,
+    measures the recovered state, all from one seeded stream.  Trials are
+    simulated together in chunks of rows that share a table of states,
     which changes nothing statistically.
 
     Standard errors: the bit-error rate uses the sample standard error of

@@ -50,13 +50,17 @@ class OperatorFamily:
 
     Construction checks only structure (non-empty, shared dimension, unique
     labels); algebraic properties are checked by `verify_family`, so that
-    deliberately broken families can be built and diagnosed.
+    deliberately broken families can be built and diagnosed.  The hash is
+    computed once here: the analysis caches look a family up by value on
+    every call.
     """
 
     name: str
     members: tuple[UnitaryOperator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "_hash", hash((self.name, self.members)))
         if not self.members:
             raise ValueError("a family needs at least one member")
         dims = {m.dim for m in self.members}
@@ -82,6 +86,9 @@ class OperatorFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @cache

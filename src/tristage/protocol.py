@@ -8,9 +8,12 @@ the secret up to that phase, so Bob's computational measurement reads the
 secret bits exactly on a clean channel.
 
 `run_three_stage` executes one run on state objects and keeps its
-transcript.  `run_passes` is the same pipeline on rows of states, run by
+transcript.  `run_passes` is the same pipeline on many runs at once, run by
 sampling in `run_key_session` and Monte Carlo analysis or by enumeration in
-exact analysis.  A session draws everything from one stream seeded by the
+exact analysis.  The runs go in chunks of `_CHUNK` rows; a row is an integer
+id into a small table of the distinct states its chunk can reach, so the
+operators, Eve's re-preparation and the noise flips act on the table, never
+row by row.  A session draws everything from one stream seeded by the
 session seed, so identical configs reproduce identical reports.
 """
 
@@ -126,6 +129,19 @@ def verify_recovery(transcript: Transcript, tol: float = DEFAULT_TOL) -> bool:
     return equal_up_to_global_phase(transcript.recovered, transcript.secret, tol)
 
 
+#: Input rows per pass through the pipeline.  The draws go chunk by chunk,
+#: in row order within each chunk, so this size is part of the RNG layout.
+_CHUNK = 8192
+
+
+def _compact(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep only the table rows some row refers to, once the table outgrows the rows."""
+    if len(table) > len(ids):
+        kept, ids = np.unique(ids, return_inverse=True)
+        table = table[kept]
+    return table, ids
+
+
 def run_passes(
     family: OperatorFamily,
     ctx: ChannelContext,
@@ -135,73 +151,90 @@ def run_passes(
     collapse: Callable,
     rng: np.random.Generator | None = None,
     weights: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Run the three passes on rows of basis secrets, one operator pair at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Run the three passes on rows of basis secrets, in chunks of `_CHUNK` rows.
 
     Row i starts as basis secret ``secrets[i]`` with Alice's member
-    ``alice_idx[i]`` and Bob's member ``bob_idx[i]``.  Pairs are taken in
-    member order, Alice's index first, each with its rows in input order.
-    At each stage Eve intercepts, ``collapse(probs, weights)`` resolves her
-    measurement from the rows' Born probabilities in her basis and their
-    weights; it returns the source row of each resulting row (None: one
-    each), their outcomes and their weights.  The rows carry on from her
-    re-prepared states, and her outcomes accumulate into a record code in
-    base ``family.dim``, first intercepted stage most significant.  On a
-    noisy channel every stage then flips qubits, drawing ``num_qubits``
-    uniforms per row from ``rng``.
+    ``alice_idx[i]`` and Bob's member ``bob_idx[i]``.  Each row holds only
+    an integer id into a table of the distinct states its chunk can reach:
+    operators, Eve's re-preparation and noise flips act on the table, and
+    per row the pipeline only moves ids, gathers and draws.  At each stage
+    Eve intercepts, ``collapse(probs, ids, weights)`` resolves her
+    measurement from the table's Born probabilities in her basis, the rows'
+    ids and their weights; it returns the source row of each resulting row
+    (None: one each), their outcomes and their weights.  The rows carry on
+    from her re-prepared states, and her outcomes accumulate into a record
+    code in base ``family.dim``, first intercepted stage most significant.
+    On a noisy channel every stage then flips qubits, drawing
+    ``num_qubits`` uniforms per row from ``rng``.
 
     Yields:
-        Per operator pair that has rows: the input row of each resulting
-        row, the Born probabilities of Bob's final measurement, Eve's record
-        codes and the row weights.
+        Per chunk: the input row of each resulting row, the Born
+        probabilities of Bob's final measurement per table row, each row's
+        table id, Eve's record codes and the row weights.  The table never
+        has more rows than the chunk's resulting rows.
 
     Raises:
         ValueError: If Eve's pre-rotation does not match the family dimension.
     """
-    dim = family.dim
+    dim, count = family.dim, len(family)
     num_qubits = dim.bit_length() - 1
     eve = ctx.eve
     rotation = eve.pre_rotation if eve is not None else None
     if rotation is not None and rotation.dim != dim:
         raise ValueError(f"pre-rotation dim {rotation.dim} does not match family dim {dim}")
-    # Rows are transposed states: applying U maps row -> row @ U.T.  Eve
+    # Table rows are transposed states: applying U maps row -> row @ U.T.  Eve
     # reads row @ R.T and forwards row k of conj(R), the transposed R†|k>.
     measure_t = rotation.matrix.T if rotation is not None else None
     reprep = rotation.matrix.conj() if rotation is not None else np.eye(dim, dtype=complex)
     attacked = [eve is not None and eve.attacks(stage) for stage in STAGES]
     noise_p = ctx.noise.bit_flip_probability if ctx.noise is not None else None
-    flip_weights = 1 << np.arange(num_qubits - 1, -1, -1)
-    columns = np.arange(dim)
-    for ai, alice in enumerate(family.members):
-        for bi, bob in enumerate(family.members):
-            rows = np.flatnonzero((alice_idx == ai) & (bob_idx == bi))
-            if rows.size == 0:
-                continue
-            a, b = alice.matrix, bob.matrix
-            batch = a.T[secrets[rows]]
-            codes = np.zeros(rows.size, dtype=np.int64)
-            row_weights = weights[rows] if weights is not None else None
-            for hit, post in zip(attacked, (b.T, a.conj(), b.conj())):
-                if hit:
-                    amps = batch @ measure_t if measure_t is not None else batch
-                    take, outcomes, row_weights = collapse(np.abs(amps) ** 2, row_weights)
-                    if take is not None:
-                        rows, codes = rows[take], codes[take]
-                    batch = reprep[outcomes]
-                    codes = codes * dim + outcomes
-                if noise_p is not None:
-                    masks = (rng.random((len(batch), num_qubits)) < noise_p) @ flip_weights
-                    if masks.any():
-                        batch = np.take_along_axis(batch, columns ^ masks[:, None], axis=1)
-                batch = batch @ post
-            yield rows, np.abs(batch) ** 2, codes, row_weights
+    members = np.stack([m.matrix for m in family.members])
+    start_table = members.transpose(0, 2, 1).reshape(-1, dim)
+    # Stage k's member m maps table row t to row t*count + m of
+    # (table @ post).reshape(-1, dim): Bob's B, Alice's A†, Bob's B†.
+    posts = [
+        np.ascontiguousarray(post.transpose(1, 0, 2).reshape(dim, -1))
+        for post in (members.transpose(0, 2, 1), members.conj(), members.conj())
+    ]
+    # flips[m] permutes a row's entries as flipping the qubits set in mask m.
+    flips = np.arange(dim) ^ np.arange(dim)[:, None]
+    for start in range(0, len(secrets), _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, len(secrets)))
+        row_weights = weights[rows] if weights is not None else None
+        codes = np.zeros(len(rows), dtype=np.int64)
+        table, ids = _compact(start_table, alice_idx[rows] * dim + secrets[rows])
+        for hit, post, member_idx in zip(attacked, posts, (bob_idx, alice_idx, bob_idx)):
+            if hit:
+                amps = table @ measure_t if measure_t is not None else table
+                take, outcomes, row_weights = collapse(np.abs(amps) ** 2, ids, row_weights)
+                if take is not None:
+                    rows, codes = rows[take], codes[take]
+                table, ids = _compact(reprep, outcomes)
+                codes = codes * dim + outcomes
+            if noise_p is not None:
+                masks = np.zeros(len(ids), dtype=np.int64)
+                for flipped in (rng.random((len(ids), num_qubits)) < noise_p).T:
+                    masks = masks << 1 | flipped
+                if masks.any():
+                    ids = masks * len(table) + ids
+                    table, ids = _compact(table[:, flips].swapaxes(0, 1).reshape(-1, dim), ids)
+            ids = ids * count + member_idx[rows]
+            table, ids = _compact((table @ post).reshape(-1, dim), ids)
+        yield rows, np.abs(table) ** 2, ids, codes, row_weights
 
 
-def _born_draw(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One outcome per row of Born probabilities, from one uniform per row."""
+def _born_draw(probs: np.ndarray, ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One outcome per row from the Born probabilities of its table row and
+    one uniform: the first outcome whose cumulative total exceeds the draw,
+    as in `qcore.measure`.  Only the first ``dim - 1`` totals are counted,
+    so a draw at or above the last total picks the last outcome."""
     cumulative = np.cumsum(probs, axis=1)
-    u = rng.random(len(probs))
-    return np.minimum((cumulative < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+    u = rng.random(len(ids))
+    outcomes = np.zeros(len(ids), dtype=np.int64)
+    for column in cumulative.T[:-1]:
+        outcomes += column[ids] <= u
+    return outcomes
 
 
 def sample_passes(
@@ -212,9 +245,10 @@ def sample_passes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample `run_passes` once per basis secret, every draw from ``rng``.
 
-    ``rng`` draws Alice's member for every row, then Bob's, then pair by
-    pair one uniform per row for each of Eve's collapses, ``num_qubits`` per
-    row for each noisy stage, and one per row for Bob's measurement.
+    ``rng`` draws Alice's member for every row, then Bob's.  Then, chunk by
+    chunk and in row order within each draw: at each stage one uniform per
+    row for Eve's collapse and ``num_qubits`` per row for the noise, and
+    last one per row for Bob's measurement.
 
     Returns:
         Bob's outcome index and Eve's record code per row, in row order.
@@ -224,13 +258,13 @@ def sample_passes(
     outcomes = np.empty(len(secrets), dtype=np.int64)
     codes = np.zeros(len(secrets), dtype=np.int64)
 
-    def collapse(probs, weights):
-        return None, _born_draw(probs, rng), None
+    def collapse(probs, ids, weights):
+        return None, _born_draw(probs, ids, rng), None
 
-    for rows, final, row_codes, _ in run_passes(
+    for rows, final, ids, row_codes, _ in run_passes(
         family, ctx, secrets, alice_idx, bob_idx, collapse, rng
     ):
-        outcomes[rows] = _born_draw(final, rng)
+        outcomes[rows] = _born_draw(final, ids, rng)
         codes[rows] = row_codes
     return outcomes, codes
 

@@ -13,7 +13,8 @@ can discard them from the final key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,13 +40,31 @@ class ParityRound:
         return self.alice_parity != self.bob_parity
 
 
+def _disclosed_indices(report: "SiftReport") -> frozenset:
+    return frozenset(_set_bits(report.disclosed_mask).tolist())
+
+
 @dataclass(frozen=True)
 class SiftReport:
-    """Outcome of a parity comparison: rounds, verdict, and consumed bits."""
+    """Outcome of a parity comparison: rounds, verdict, and consumed bits.
+
+    ``disclosed_mask`` is the union of the round masks.
+    ``disclosed_indices``, its set bits, is built on first read and kept;
+    passing it (as `dataclasses.replace` does) sets the mask from it.
+    """
 
     rounds: tuple
     detected: bool
-    disclosed_indices: frozenset
+    disclosed_mask: int
+    disclosed_indices: InitVar[frozenset] = cached_property(_disclosed_indices)
+
+    def __post_init__(self, disclosed_indices):
+        # Not passed, the default is the property itself, which builds the set.
+        if not isinstance(disclosed_indices, cached_property):
+            self.__dict__["disclosed_indices"] = frozenset(disclosed_indices)
+            bits = np.zeros(max(disclosed_indices, default=-1) + 1, dtype=np.uint8)
+            bits[list(disclosed_indices)] = 1
+            object.__setattr__(self, "disclosed_mask", _bits_to_int(bits))
 
 
 def _set_bits(mask: int) -> np.ndarray:
@@ -129,7 +148,7 @@ def parity_check(
     return SiftReport(
         rounds=tuple(round_results),
         detected=any(r.mismatch for r in round_results),
-        disclosed_indices=frozenset(_set_bits(union).tolist()),
+        disclosed_mask=union,
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for parity-based tamper detection on sifted keys."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -183,3 +184,42 @@ class TestReportShapes:
         report = parity_check((1, 0), (1, 0), rounds=1, rng=rng)
         with pytest.raises(AttributeError):
             report.detected = True
+
+
+class TestLazyDisclosure:
+    """``disclosed_indices`` is built from the union mask on first read."""
+
+    @pytest.mark.parametrize("length", (10, 62, 63, 100_000))
+    def test_union_of_round_indices_for_list_and_uint8_keys(self, length):
+        alice = np.random.default_rng(length).integers(0, 2, size=length, dtype=np.uint8)
+        bob = alice.copy()
+        bob[length // 2] ^= 1
+        for key_a, key_b in ((alice.tolist(), bob.tolist()), (alice, bob)):
+            report = parity_check(key_a, key_b, rounds=4, rng=np.random.default_rng(8))
+            union = set()
+            for rnd in report.rounds:
+                union.update(rnd.indices)
+            assert report.disclosed_indices == frozenset(union)
+            assert type(report.disclosed_indices) is frozenset
+
+    def test_second_read_returns_the_same_object(self):
+        report = parity_check((0, 1) * 40, (0, 1) * 40, rounds=3, rng=np.random.default_rng(2))
+        assert report.disclosed_indices is report.disclosed_indices
+
+    def test_assigning_to_any_field_raises(self):
+        report = parity_check((0, 1) * 40, (1, 1) * 40, rounds=3, rng=np.random.default_rng(2))
+        report.disclosed_indices
+        for name, value in (("rounds", ()), ("detected", False), ("disclosed_mask", 0),
+                            ("disclosed_indices", frozenset())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, value)
+
+    def test_replaced_indices_set_the_mask(self):
+        report = parity_check((0, 1) * 40, (0, 1) * 40, rounds=3, rng=np.random.default_rng(2))
+        first = min(report.disclosed_indices)
+        fewer = report.disclosed_indices - {first}
+        changed = dataclasses.replace(report, disclosed_indices=fewer)
+        assert changed.disclosed_indices == fewer
+        assert changed.disclosed_mask == report.disclosed_mask ^ (1 << first)
+        assert changed != report
+        assert dataclasses.replace(report, detected=False) == report
