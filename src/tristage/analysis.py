@@ -1,21 +1,20 @@
 """Exact and sampled statistics for eavesdropped protocol runs.
 
-Both routes run the protocol pipeline `protocol.run_passes`, which keeps
-each row as an id into a table of distinct states.  `exact_analysis`
-enumerates every operator pair, basis secret and eavesdropper measurement
-branch with exact Born-rule weights, read from the table's probabilities
-through the row ids, giving closed-form rates.  `monte_carlo_analysis`
-samples the same pipeline, one draw per random event of a per-run
-simulation, without per-run overhead.
-Tests drive both against each other and against the per-run reference
-`protocol.run_three_stage`.
+Both routes read values the protocol module computes from its pipeline.
+`exact_analysis` reads the exact law `protocol._law`: every operator pair,
+basis secret and eavesdropper measurement branch with its Born-rule weight,
+giving closed-form rates.  `monte_carlo_analysis` reads the outcomes and
+record codes of `protocol.sample_passes`, one draw per random event of a
+per-run simulation, without per-run overhead.  Tests drive both against
+each other and against the per-run reference `protocol.run_three_stage`.
 
-One enumeration covers every basis secret at once, and the last one is
-kept: calls whose family and Eve equal those of the call before (a sweep
-over secrets, or a MAP table followed by exact rates) reuse it, whether
-the objects are the same or were built separately.  The per-secret exact
-rates are kept the same way and computed only when `exact_analysis` asks
-for them, so MAP tables and Monte Carlo runs never pay for them.
+One enumeration covers every basis secret at once, and the law keeps the
+last one: calls whose family and Eve equal those of the call before (a
+sweep over secrets, a MAP table followed by exact rates, or sessions)
+reuse it, whether the objects are the same or were built separately.  The
+per-secret exact rates are kept the same way and computed only when
+`exact_analysis` asks for them, so MAP tables, sessions and Monte Carlo
+runs never pay for them.
 
 The eavesdropper's guess is maximum-a-posteriori on a noise-free channel:
 from the exact joint distribution of (secret, records) under uniform
@@ -41,17 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .adversary import ChannelContext, EveStrategy
 from .opsets import OperatorFamily
-from .protocol import STAGES, decode_records, run_passes, sample_passes
+from .protocol import _Branches, _law, sample_passes
 from .qcore import StateVector, is_basis_state
-
-#: Branches below this probability are dropped from the enumeration.
-_PRUNE = 1e-15
 
 #: Conservation tolerance for the enumerated branch probabilities.
 _CONSERVATION_TOL = 1e-12
@@ -64,11 +60,15 @@ def _hamming_table(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExactAnalysis:
-    """Closed-form rates for one (family, strategy, secret) scenario."""
+    """Closed-form rates for one (family, strategy, secret) scenario.
+
+    A CLI report averages them over the basis secrets and sums the branch
+    counts; there the guess rate is None on a channel without Eve.
+    """
 
     bit_error_rate: float
     detection_relevant_disturbance: float
-    eve_guess_success_rate: float
+    eve_guess_success_rate: float | None
     branch_count: int
 
 
@@ -99,46 +99,6 @@ def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
     return index
 
 
-def _every_outcome(probs: np.ndarray, ids: np.ndarray, weights: np.ndarray):
-    """Enumeration rule: every outcome of every row, with its weight."""
-    branch = weights[:, None] * probs[ids]
-    take, outcomes = np.nonzero(branch > _PRUNE)
-    return take, outcomes, branch[take, outcomes]
-
-
-class _Branches(NamedTuple):
-    """Every measurement branch over all operator pairs and basis secrets."""
-
-    secrets: np.ndarray
-    codes: np.ndarray
-    probs: np.ndarray
-    dists: np.ndarray
-    guess_by_code: np.ndarray
-    stage_count: int
-
-
-def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Branches:
-    """One enumeration pass over every (Alice, Bob, basis secret) row.
-
-    Per branch: its secret, Eve's record code, its probability given the
-    secret (operator pairs weigh uniformly) and Bob's final outcome
-    distribution; plus the MAP guess for every record code.
-    """
-    dim, count = family.dim, len(family)
-    alice_idx, bob_idx, secrets = np.indices((count, count, dim)).reshape(3, -1)
-    weights = np.full(secrets.size, 1.0 / count**2)
-    passes = run_passes(family, ChannelContext(eve=eve), secrets, alice_idx, bob_idx,
-                        _every_outcome, weights=weights)
-    chunks = [(rows, final[ids], codes, probs) for rows, final, ids, codes, probs in passes]
-    rows, dists, codes, probs = map(np.concatenate, zip(*chunks))
-    secrets = secrets[rows]
-    stage_count = sum(eve.attacks(stage) for stage in STAGES)
-    likelihood = np.bincount(
-        codes * dim + secrets, weights=probs, minlength=dim ** (stage_count + 1)
-    ).reshape(-1, dim)
-    return _Branches(secrets, codes, probs, dists, likelihood.argmax(axis=1), stage_count)
-
-
 def _rates(family: OperatorFamily, branches: _Branches) -> tuple[ExactAnalysis, ...]:
     """`ExactAnalysis` of every basis secret, from one enumeration."""
     num_qubits = family.dim.bit_length() - 1
@@ -161,12 +121,6 @@ def _rates(family: OperatorFamily, branches: _Branches) -> tuple[ExactAnalysis, 
 
 
 @lru_cache(maxsize=1)
-def _law(family: OperatorFamily, eve: EveStrategy) -> _Branches:
-    """The enumeration of the last (family, Eve) pair, compared by value."""
-    return _enumerate(family, eve)
-
-
-@lru_cache(maxsize=1)
 def _exact(family: OperatorFamily, eve: EveStrategy) -> tuple[ExactAnalysis, ...]:
     """Every basis secret's rates, filled only when exact rates are asked for."""
     return _rates(family, _law(family, eve))
@@ -183,9 +137,9 @@ def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
     """
     _require_eve(eve)
     branches = _law(family, eve)
-    count, guess = branches.stage_count, branches.guess_by_code
-    return {decode_records(int(c), count, family.dim): int(guess[c])
-            for c in np.unique(branches.codes)}
+    dim, count = family.dim, len(eve.stages)
+    return {tuple(int(c) // dim ** (count - 1 - i) % dim for i in range(count)):
+            int(branches.guess_by_code[c]) for c in np.unique(branches.codes)}
 
 
 def map_guesser(family: OperatorFamily, eve: EveStrategy) -> Callable[[tuple], int]:

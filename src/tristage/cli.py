@@ -28,7 +28,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .adversary import EveStrategy, NoiseModel
-from .analysis import exact_analysis, map_guesser
+from .analysis import ExactAnalysis, exact_analysis
 from .opsets import family_names, get_family, operator_catalog, verify_family
 from .protocol import SessionConfig, StageLabel, run_key_session
 from .qcore import basis_state
@@ -64,16 +64,6 @@ class PerTrialResult:
 
 
 @dataclass(frozen=True)
-class ExactSummary:
-    """Closed-form reference rates, averaged over the basis secrets."""
-
-    bit_error_rate: float
-    detection_relevant_disturbance: float
-    eve_guess_success_rate: float | None
-    branch_count: int
-
-
-@dataclass(frozen=True)
 class DeltaSummary:
     """Empirical minus exact, where both sides exist."""
 
@@ -91,7 +81,7 @@ class ExperimentReport:
     bit_error_rate_mean: float
     bit_error_rate_stderr: float | None
     eve_guess_success_rate: float | None
-    exact: ExactSummary | None
+    exact: ExactAnalysis | None
     deltas: DeltaSummary | None
     wall_time_seconds: float
 
@@ -103,7 +93,7 @@ class ExperimentReport:
         parts["config"] = ExperimentConfig(**config)
         parts["per_trial"] = tuple(PerTrialResult(**row) for row in data["per_trial"])
         if data["exact"] is not None:
-            parts["exact"] = ExactSummary(**data["exact"])
+            parts["exact"] = ExactAnalysis(**data["exact"])
         if data["deltas"] is not None:
             parts["deltas"] = DeltaSummary(**data["deltas"])
         return cls(**parts)
@@ -293,7 +283,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             pre_rotation=rotation,
         )
     noise = NoiseModel(config.noise) if config.noise > 0.0 else None
-    guesser = map_guesser(family, eve) if eve is not None else None
     per_trial = []
     for trial in range(config.trials):
         session = run_key_session(
@@ -303,8 +292,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 eve_strategy=eve,
                 noise=noise,
                 seed=_trial_seed(config.seed, trial),
-            ),
-            eve_guesser=guesser,
+            )
         )
         parity_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(trial, 1))
@@ -325,12 +313,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     stderr = (
         statistics.stdev(rates) / len(rates) ** 0.5 if len(rates) > 1 else None
     )
-    success_values = [
-        row.eve_guess_success_rate
-        for row in per_trial
-        if row.eve_guess_success_rate is not None
-    ]
-    success = sum(success_values) / len(success_values) if success_values else None
+    success = None
+    if eve is not None:
+        success = sum(row.eve_guess_success_rate for row in per_trial) / len(per_trial)
     exact = None
     deltas = None
     if config.mode == "exact":
@@ -339,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 exact_analysis(family, eve, basis_state(index, num_qubits))
                 for index in range(family.dim)
             ]
-            exact = ExactSummary(
+            exact = ExactAnalysis(
                 bit_error_rate=sum(r.bit_error_rate for r in per_secret) / family.dim,
                 detection_relevant_disturbance=sum(
                     r.detection_relevant_disturbance for r in per_secret
@@ -353,19 +338,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         else:
             # Clean channel: recovery is exact, so the reference rates are
-            # zero and each operator pair contributes one deterministic branch.
-            exact = ExactSummary(
+            # zero and each operator pair and secret is one deterministic
+            # branch.
+            exact = ExactAnalysis(
                 bit_error_rate=0.0,
                 detection_relevant_disturbance=0.0,
                 eve_guess_success_rate=None,
-                branch_count=len(family) ** 2,
+                branch_count=len(family) ** 2 * family.dim,
             )
         deltas = DeltaSummary(
             bit_error_rate=mean - exact.bit_error_rate,
             eve_guess_success_rate=(
-                success - exact.eve_guess_success_rate
-                if success is not None and exact.eve_guess_success_rate is not None
-                else None
+                success - exact.eve_guess_success_rate if eve is not None else None
             ),
         )
     return ExperimentReport(

@@ -1,4 +1,4 @@
-"""The three-stage exchange and multi-block key-distribution sessions.
+"""The three-stage exchange, its batched pipeline and key sessions.
 
 One protocol run moves a secret basis state across the channel three times:
 Alice applies her secret operator and sends, Bob applies his and sends back,
@@ -8,19 +8,27 @@ the secret up to that phase, so Bob's computational measurement reads the
 secret bits exactly on a clean channel.
 
 `run_three_stage` executes one run on state objects and keeps its
-transcript.  `run_passes` is the same pipeline on many runs at once, run by
-sampling in `run_key_session` and Monte Carlo analysis or by enumeration in
-exact analysis.  The runs go in chunks of `_CHUNK` rows; a row is an integer
-id into a small table of the distinct states its chunk can reach, so the
+transcript.  `run_passes` is the same pipeline on many runs at once, and
+only this module runs it: `sample_passes` samples it (for key sessions and
+Monte Carlo analysis), and `_enumerate` walks every branch of it with exact
+weights.  The runs go in chunks of `_CHUNK` rows; a row is an integer id
+into a small table of the distinct states its chunk can reach, so the
 operators, Eve's re-preparation and the noise flips act on the table, never
-row by row.  A session draws everything from one stream seeded by the
+row by row.
+
+Eve's record of a run is an integer code, her outcomes in base ``dim``,
+first intercepted stage most significant.  `_law` keeps the enumeration of
+the last (family, Eve) pair, compared by value; its ``guess_by_code`` maps
+every code to her MAP guess, and sessions and Monte Carlo analysis both
+score her by it.  A session draws everything from one stream seeded by the
 session seed, so identical configs reproduce identical reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -269,9 +277,52 @@ def sample_passes(
     return outcomes, codes
 
 
-def decode_records(code: int, count: int, dim: int) -> tuple:
-    """Eve's outcome per intercepted stage, in stage order, from a record code."""
-    return tuple(code // dim ** (count - 1 - i) % dim for i in range(count))
+#: Branches below this probability are dropped from the enumeration.
+_PRUNE = 1e-15
+
+
+def _every_outcome(probs: np.ndarray, ids: np.ndarray, weights: np.ndarray):
+    """Enumeration rule: every outcome of every row, with its weight."""
+    branch = weights[:, None] * probs[ids]
+    take, outcomes = np.nonzero(branch > _PRUNE)
+    return take, outcomes, branch[take, outcomes]
+
+
+class _Branches(NamedTuple):
+    """Every measurement branch over all operator pairs and basis secrets."""
+
+    secrets: np.ndarray
+    codes: np.ndarray
+    probs: np.ndarray
+    dists: np.ndarray
+    guess_by_code: np.ndarray
+
+
+def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Branches:
+    """One enumeration pass over every (Alice, Bob, basis secret) row.
+
+    Per branch: its secret, Eve's record code, its probability given the
+    secret (operator pairs weigh uniformly) and Bob's final outcome
+    distribution; plus the MAP guess for every record code.
+    """
+    dim, count = family.dim, len(family)
+    alice_idx, bob_idx, secrets = np.indices((count, count, dim)).reshape(3, -1)
+    weights = np.full(secrets.size, 1.0 / count**2)
+    passes = run_passes(family, ChannelContext(eve=eve), secrets, alice_idx, bob_idx,
+                        _every_outcome, weights=weights)
+    chunks = [(rows, final[ids], codes, probs) for rows, final, ids, codes, probs in passes]
+    rows, dists, codes, probs = map(np.concatenate, zip(*chunks))
+    secrets = secrets[rows]
+    likelihood = np.bincount(
+        codes * dim + secrets, weights=probs, minlength=dim ** (len(eve.stages) + 1)
+    ).reshape(-1, dim)
+    return _Branches(secrets, codes, probs, dists, likelihood.argmax(axis=1))
+
+
+@lru_cache(maxsize=1)
+def _law(family: OperatorFamily, eve: EveStrategy) -> _Branches:
+    """The enumeration of the last (family, Eve) pair, compared by value."""
+    return _enumerate(family, eve)
 
 
 @dataclass(frozen=True)
@@ -301,10 +352,7 @@ class SessionReport:
     eve_guess_success_rate: float | None
 
 
-def run_key_session(
-    config: SessionConfig,
-    eve_guesser: Callable[[tuple], int] | None = None,
-) -> SessionReport:
+def run_key_session(config: SessionConfig) -> SessionReport:
     """Run a session of independent protocol blocks and collect key bits.
 
     Per block: Alice draws a uniformly random basis secret (one bit for
@@ -313,15 +361,12 @@ def run_key_session(
     executes.  Bob's bits come from measuring each recovered state.  Use
     `run_three_stage` for the transcript of a single run.
 
-    One stream seeded by the session seed draws every block's secret and
-    then everything `sample_passes` draws, so identical configs reproduce
-    identical reports bit for bit.
-
-    Args:
-        config: Session parameters; the family name must be in the catalog.
-        eve_guesser: Optional map from the eavesdropper's per-block record
-            tuple to a guessed secret index.  When given and Eve is active,
-            the report includes her empirical guess success rate.
+    When Eve is active, each block's record code is scored with her MAP
+    guess from the exact law, as Monte Carlo analysis scores it, and the
+    report carries her empirical guess success rate; otherwise that rate
+    is None.  One stream seeded by the session seed draws every block's
+    secret and then everything `sample_passes` draws, so identical configs
+    reproduce identical reports bit for bit.
 
     Raises:
         ValueError: If the family name is unknown.
@@ -338,11 +383,9 @@ def run_key_session(
     alice_bits = (secrets[:, None] >> shifts & 1).ravel()
     bob_bits = (outcomes[:, None] >> shifts & 1).ravel()
     success_rate = None
-    if eve_guesser is not None and eve is not None:
-        count = sum(eve.attacks(stage) for stage in STAGES)
-        seen, inverse = np.unique(codes, return_inverse=True)
-        guesses = np.array([eve_guesser(decode_records(int(c), count, dim)) for c in seen])
-        success_rate = int((guesses[inverse] == secrets).sum()) / config.blocks
+    if eve is not None:
+        guesses = _law(family, eve).guess_by_code[codes]
+        success_rate = int((guesses == secrets).sum()) / config.blocks
     return SessionReport(
         alice_bits=tuple(alice_bits.tolist()),
         bob_bits=tuple(bob_bits.tolist()),

@@ -79,7 +79,8 @@ def _bits_to_int(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _key_to_int(key, side: str) -> int:
+def _key_to_int(key, side: str) -> tuple[int, int]:
+    """The key as the integer whose bit i is entry i, and its length."""
     bits = np.asarray(key)
     if bits.ndim != 1:
         raise ValueError(f"{side} key must be one-dimensional, got shape {bits.shape}")
@@ -87,7 +88,7 @@ def _key_to_int(key, side: str) -> int:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"{side} key must contain bits, got {key[i]!r} at index {i}")
-    return _bits_to_int(bits)
+    return _bits_to_int(bits), len(bits)
 
 
 def parity_check(
@@ -113,17 +114,14 @@ def parity_check(
         ValueError: On length mismatch, empty keys, keys that are not
             one-dimensional, or rounds < 1.
     """
-    if len(alice_key) != len(bob_key):
-        raise ValueError(
-            f"key lengths differ: {len(alice_key)} vs {len(bob_key)}"
-        )
-    length = len(alice_key)
-    if length == 0:
-        raise ValueError("keys must be non-empty")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    alice_int = _key_to_int(alice_key, "alice")
-    bob_int = _key_to_int(bob_key, "bob")
+    alice_int, length = _key_to_int(alice_key, "alice")
+    bob_int, bob_length = _key_to_int(bob_key, "bob")
+    if length != bob_length:
+        raise ValueError(f"key lengths differ: {length} vs {bob_length}")
+    if length == 0:
+        raise ValueError("keys must be non-empty")
     if length <= _INTEGER_MASK_LIMIT:
         masks = [int(m) for m in rng.integers(1, 2**length, size=rounds)]
     else:

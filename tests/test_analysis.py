@@ -10,6 +10,7 @@ from tristage import (
     EveStrategy,
     NoiseModel,
     OperatorFamily,
+    SessionConfig,
     StageLabel,
     StateVector,
     UnitaryOperator,
@@ -21,9 +22,10 @@ from tristage import (
     map_decision_table,
     map_guesser,
     monte_carlo_analysis,
+    run_key_session,
     run_three_stage,
 )
-from tristage import analysis, cli
+from tristage import analysis, cli, protocol
 
 STAGE_1 = StageLabel.ALICE_TO_BOB_1
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -235,28 +237,28 @@ class TestEveRequired:
         lambda fam: map_guesser(fam, None),
     ])
     def test_none_rejected(self, call, monkeypatch):
-        monkeypatch.setattr(analysis, "_enumerate", None)
+        monkeypatch.setattr(protocol, "_enumerate", None)
         with pytest.raises(ValueError, match="eavesdropper"):
             call(get_family("hadamard"))
 
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Count the calls to `analysis._enumerate` made during a test.
+    """Count the calls to `protocol._enumerate` made during a test.
 
     The kept enumeration and rates are dropped first, so that an equal
     family and Eve from an earlier test cannot serve the first call.
     """
-    analysis._law.cache_clear()
+    protocol._law.cache_clear()
     analysis._exact.cache_clear()
     calls = []
-    enumerate_all = analysis._enumerate
+    enumerate_all = protocol._enumerate
 
     def counted(family, eve):
         calls.append((family, eve))
         return enumerate_all(family, eve)
 
-    monkeypatch.setattr(analysis, "_enumerate", counted)
+    monkeypatch.setattr(protocol, "_enumerate", counted)
     return calls
 
 
@@ -272,7 +274,7 @@ def _dft_eve():
 
 def _fresh(fam, eve):
     """Every secret's rates from a new enumeration, bypassing the cache."""
-    return analysis._rates(fam, analysis._enumerate(fam, eve))
+    return analysis._rates(fam, protocol._enumerate(fam, eve))
 
 
 class TestEnumerationReuse:
@@ -294,6 +296,13 @@ class TestEnumerationReuse:
         cli.run_experiment(config)
         assert len(enumerations) == 1
 
+    def test_cli_sessions_enumerate_once(self, enumerations):
+        config = cli.parse_arguments(["run", "--family", "quaternion", "--trials", "3",
+                                      "--eve-stages", "1,3", "--blocks", "20"])
+        report = cli.run_experiment(config)
+        assert len(enumerations) == 1
+        assert all(row.eve_guess_success_rate is not None for row in report.per_trial)
+
     def test_tables_and_sampling_skip_exact_rates(self, monkeypatch):
         monkeypatch.setattr(analysis, "_rates", None)
         fam, eve = get_family("controlled-pair"), _stage_eve(1, 2)
@@ -301,6 +310,8 @@ class TestEnumerationReuse:
         map_guesser(fam, eve)
         monte_carlo_analysis(fam, ChannelContext(eve=eve), basis_state(3, 2),
                              trials=100, seed=1)
+        run_key_session(SessionConfig(family_name="controlled-pair", blocks=100,
+                                      eve_strategy=eve, seed=1))
 
     def test_alternating_strategies_match_fresh_results(self, enumerations):
         """A, B, A enumerates three times; the twin equals the last A, so it

@@ -1,16 +1,26 @@
-"""Property tests of exact enumeration over random commuting families."""
+"""Property tests of exact enumeration: over random commuting families, and
+sampling against it over every noise-free input the CLI accepts."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tristage import (
+    ChannelContext,
     EveStrategy,
     OperatorFamily,
+    SessionConfig,
     StageLabel,
     UnitaryOperator,
     basis_state,
     exact_analysis,
+    family_names,
+    get_family,
+    monte_carlo_analysis,
+    operator_catalog,
+    run_key_session,
 )
 
 
@@ -57,3 +67,44 @@ def test_secret_order_does_not_change_results(scenario):
     assert [shuffled[index] for index in range(family.dim)] == fresh
     mean_guess = sum(r.eve_guess_success_rate for r in fresh) / family.dim
     assert mean_guess >= 1.0 / family.dim - 1e-12
+
+
+@st.composite
+def cli_inputs(draw):
+    """A catalog family, a non-empty stage set and no basis or a catalog
+    label of the family's dimension: the noise-free inputs of `tristage run`."""
+    name = draw(st.sampled_from(family_names()))
+    stages = draw(st.sets(st.sampled_from((1, 2, 3)), min_size=1))
+    labels = sorted(operator_catalog(get_family(name).dim))
+    return name, stages, draw(st.sampled_from([None, *labels]))
+
+
+def _within(observed, expected, n):
+    """Within 5 standard errors plus 3/n, so that rates at 0 or 1 keep a margin."""
+    return abs(observed - expected) <= 5 * math.sqrt(expected * (1 - expected) / n) + 3 / n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cli_inputs())
+def test_sessions_and_monte_carlo_match_exact_rates(cli_input):
+    """A session draws its secret per block and Monte Carlo runs every
+    secret, so both are compared with the exact rates averaged over secrets."""
+    name, stages, basis = cli_input
+    family = get_family(name)
+    num_qubits = family.dim.bit_length() - 1
+    rotation = operator_catalog(family.dim)[basis] if basis is not None else None
+    eve = _eve(stages, rotation)
+    secrets = [basis_state(index, num_qubits) for index in range(family.dim)]
+    rates = ("bit_error_rate", "detection_relevant_disturbance", "eve_guess_success_rate")
+    exact = {rate: np.mean([getattr(exact_analysis(family, eve, s), rate) for s in secrets])
+             for rate in rates}
+    blocks, trials = 4_000, 4_000
+    session = run_key_session(
+        SessionConfig(family_name=name, blocks=blocks, eve_strategy=eve, seed=3))
+    for rate in ("bit_error_rate", "eve_guess_success_rate"):
+        assert _within(getattr(session, rate), exact[rate], blocks), ("session", rate)
+    sampled = [monte_carlo_analysis(family, ChannelContext(eve=eve), s, trials, seed=i)
+               for i, s in enumerate(secrets)]
+    for rate in rates:
+        mean = np.mean([getattr(mc, rate) for mc in sampled])
+        assert _within(mean, exact[rate], trials * family.dim), ("monte carlo", rate)

@@ -197,6 +197,8 @@ class TestRunCommand:
         payload = json.loads(out)
         assert payload["exact"]["bit_error_rate"] == 0.0
         assert payload["exact"]["eve_guess_success_rate"] is None
+        # One branch per (Alice, Bob, secret) row: 4 * 4 members, 4 secrets.
+        assert payload["exact"]["branch_count"] == 64
 
     def test_pre_rotation_basis_accepted(self, capsys):
         code, out, _ = run_cli(

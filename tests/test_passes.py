@@ -13,6 +13,7 @@ from tristage import (
     StageLabel,
     basis_state,
     exact_analysis,
+    family_names,
     get_family,
     map_guesser,
     monte_carlo_analysis,
@@ -179,9 +180,39 @@ class TestLayout:
 
 def _session_rates(name, eve, blocks, seed):
     return run_key_session(
-        SessionConfig(family_name=name, blocks=blocks, eve_strategy=eve, seed=seed),
-        eve_guesser=map_guesser(get_family(name), eve),
+        SessionConfig(family_name=name, blocks=blocks, eve_strategy=eve, seed=seed)
     )
+
+
+def _decode(code, count, dim):
+    """Eve's outcome per intercepted stage, first stage first, from a code."""
+    return tuple(code // dim ** (count - 1 - i) % dim for i in range(count))
+
+
+class TestSessionGuessRate:
+    @pytest.mark.parametrize("name", family_names())
+    def test_equals_replayed_map_guesses(self, name):
+        """The session's guess rate equals, exactly, the rate of scoring
+        each block's record tuple with `map_guesser` after replaying the
+        session's draws: its secrets, then `sample_passes`."""
+        family = get_family(name)
+        blocks = _CHUNK + 5
+        rotated = {2: "H", 4: "DFT4"}[family.dim]
+        for stages in ((1,), (2,), (1, 2, 3)):
+            for basis in (None, rotated):
+                eve = _eve(*stages, basis=basis, dim=family.dim)
+                guess = map_guesser(family, eve)
+                for noise in (None, NoiseModel(0.05)):
+                    config = SessionConfig(family_name=name, blocks=blocks,
+                                           eve_strategy=eve, noise=noise, seed=21)
+                    rng = np.random.default_rng(np.random.SeedSequence(entropy=21))
+                    secrets = rng.integers(0, family.dim, size=blocks)
+                    _, codes = sample_passes(
+                        family, ChannelContext(eve=eve, noise=noise), secrets, rng)
+                    right = sum(guess(_decode(int(code), len(stages), family.dim)) == secret
+                                for code, secret in zip(codes, secrets))
+                    observed = run_key_session(config).eve_guess_success_rate
+                    assert observed == right / blocks, (name, stages, basis, noise)
 
 
 class TestAcrossChunks:

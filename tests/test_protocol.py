@@ -22,7 +22,6 @@ from tristage import (
     family_names,
     get_family,
     hadamard_family,
-    map_guesser,
     pauli_family,
     run_key_session,
     run_three_stage,
@@ -210,11 +209,9 @@ class TestKeySessions:
     def test_eavesdropped_session_rates_match_enumeration(self):
         """Intercept-resend at stage one of the superposing one-qubit family:
         error rate near 1/4 and MAP guessing near 3/4."""
-        fam = hadamard_family()
         eve = EveStrategy(stages={StageLabel.ALICE_TO_BOB_1})
         report = run_key_session(
-            SessionConfig(family_name="hadamard", blocks=4000, eve_strategy=eve, seed=5),
-            eve_guesser=map_guesser(fam, eve),
+            SessionConfig(family_name="hadamard", blocks=4000, eve_strategy=eve, seed=5)
         )
         # 3 sigma bounds at 4000 blocks
         assert abs(report.bit_error_rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 4000)
@@ -247,8 +244,7 @@ class TestKeySessions:
                 report = run_key_session(
                     SessionConfig(
                         family_name=name, blocks=blocks, eve_strategy=eve, seed=31
-                    ),
-                    eve_guesser=map_guesser(fam, eve),
+                    )
                 )
                 exact = [
                     exact_analysis(fam, eve, basis_state(index, num_qubits))

@@ -121,8 +121,9 @@ class TestParityCheckValidation:
         alice = np.zeros((2, 3), np.uint8)
         bob = alice.copy()
         bob[1, 2] = 1
-        with pytest.raises(ValueError, match="one-dimensional"):
-            parity_check(alice, bob, rounds=20, rng=np.random.default_rng(0))
+        for keys in ((alice, bob), (np.array(1), np.array(1))):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                parity_check(*keys, rounds=20, rng=np.random.default_rng(0))
 
     def test_non_bit_entries_rejected(self):
         with pytest.raises(ValueError):
