@@ -12,9 +12,8 @@ One enumeration covers every basis secret at once, and the law keeps the
 last one: calls whose family and Eve equal those of the call before (a
 sweep over secrets, a MAP table followed by exact rates, or sessions)
 reuse it, whether the objects are the same or were built separately.  The
-per-secret exact rates are kept the same way and computed only when
-`exact_analysis` asks for them, so MAP tables, sessions and Monte Carlo
-runs never pay for them.
+law carries every basis secret's exact rates, and every enumeration checks
+that each secret's branch probabilities sum to one.
 
 The eavesdropper's guess is maximum-a-posteriori on a noise-free channel:
 from the exact joint distribution of (secret, records) under uniform
@@ -39,24 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .adversary import ChannelContext, EveStrategy
 from .opsets import OperatorFamily
-from .protocol import _Branches, _law, sample_passes
+from .protocol import _hamming_table, _law, sample_passes
 from .qcore import StateVector, is_basis_state
-
-#: Conservation tolerance for the enumerated branch probabilities.
-_CONSERVATION_TOL = 1e-12
-
-
-@cache
-def _hamming_table(dim: int) -> np.ndarray:
-    return np.array([[(i ^ j).bit_count() for j in range(dim)] for i in range(dim)])
-
 
 @dataclass(frozen=True)
 class ExactAnalysis:
@@ -99,33 +88,6 @@ def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
     return index
 
 
-def _rates(family: OperatorFamily, branches: _Branches) -> tuple[ExactAnalysis, ...]:
-    """`ExactAnalysis` of every basis secret, from one enumeration."""
-    num_qubits = family.dim.bit_length() - 1
-    rates = []
-    for index, hamming in enumerate(_hamming_table(family.dim)):
-        mine = branches.secrets == index
-        probs, dists = branches.probs[mine], branches.dists[mine]
-        total = float(probs.sum())
-        if abs(total - 1.0) > _CONSERVATION_TOL:
-            raise RuntimeError(
-                f"branch probabilities of secret {index} sum to {total!r}, expected 1")
-        guessed = branches.guess_by_code[branches.codes[mine]] == index
-        rates.append(ExactAnalysis(
-            bit_error_rate=float(probs @ (dists @ hamming)) / num_qubits,
-            detection_relevant_disturbance=float(probs @ (1.0 - dists[:, index])),
-            eve_guess_success_rate=float(probs[guessed].sum()),
-            branch_count=int(mine.sum()),
-        ))
-    return tuple(rates)
-
-
-@lru_cache(maxsize=1)
-def _exact(family: OperatorFamily, eve: EveStrategy) -> tuple[ExactAnalysis, ...]:
-    """Every basis secret's rates, filled only when exact rates are asked for."""
-    return _rates(family, _law(family, eve))
-
-
 def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
     """MAP guess per observable record tuple, from the exact joint law.
 
@@ -134,12 +96,14 @@ def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
 
     Raises:
         ValueError: If ``eve`` is None.
+        RuntimeError: If the enumerated branch probabilities of any basis
+            secret fail to sum to one.
     """
     _require_eve(eve)
-    branches = _law(family, eve)
+    law = _law(family, eve)
     dim, count = family.dim, len(eve.stages)
     return {tuple(int(c) // dim ** (count - 1 - i) % dim for i in range(count)):
-            int(branches.guess_by_code[c]) for c in np.unique(branches.codes)}
+            int(law.guess_by_code[c]) for c in law.codes}
 
 
 def map_guesser(family: OperatorFamily, eve: EveStrategy) -> Callable[[tuple], int]:
@@ -168,7 +132,7 @@ def exact_analysis(
     """
     _require_eve(eve)
     secret_index = _secret_index(family, secret)
-    return _exact(family, eve)[secret_index]
+    return ExactAnalysis(*_law(family, eve).rates[secret_index])
 
 
 def monte_carlo_analysis(
@@ -193,6 +157,8 @@ def monte_carlo_analysis(
     Raises:
         ValueError: If dimensions disagree, the secret is not a basis
             state, or ``trials`` < 1.
+        RuntimeError: If Eve is active and the enumerated branch
+            probabilities of any basis secret fail to sum to one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -324,18 +324,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 exact_analysis(family, eve, basis_state(index, num_qubits))
                 for index in range(family.dim)
             ]
-            exact = ExactAnalysis(
-                bit_error_rate=sum(r.bit_error_rate for r in per_secret) / family.dim,
-                detection_relevant_disturbance=sum(
-                    r.detection_relevant_disturbance for r in per_secret
-                )
-                / family.dim,
-                eve_guess_success_rate=sum(
-                    r.eve_guess_success_rate for r in per_secret
-                )
-                / family.dim,
-                branch_count=sum(r.branch_count for r in per_secret),
-            )
+            *rate_sums, branch_count = map(sum, zip(*map(astuple, per_secret)))
+            exact = ExactAnalysis(*(total / family.dim for total in rate_sums), branch_count)
         else:
             # Clean channel: recovery is exact, so the reference rates are
             # zero and each operator pair and secret is one deterministic

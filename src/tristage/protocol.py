@@ -17,17 +17,19 @@ operators, Eve's re-preparation and the noise flips act on the table, never
 row by row.
 
 Eve's record of a run is an integer code, her outcomes in base ``dim``,
-first intercepted stage most significant.  `_law` keeps the enumeration of
-the last (family, Eve) pair, compared by value; its ``guess_by_code`` maps
-every code to her MAP guess, and sessions and Monte Carlo analysis both
-score her by it.  A session draws everything from one stream seeded by the
-session seed, so identical configs reproduce identical reports.
+first intercepted stage most significant.  `_enumerate` folds its branches
+into the exact law of a (family, Eve) pair: her MAP guess for every code,
+the codes that occur and every basis secret's exact rates.  `_law` keeps
+the law of the last pair, compared by value; sessions and Monte Carlo
+analysis score her by its ``guess_by_code``.  A session draws everything
+from one stream seeded by the session seed, so identical configs
+reproduce identical reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -288,22 +290,40 @@ def _every_outcome(probs: np.ndarray, ids: np.ndarray, weights: np.ndarray):
     return take, outcomes, branch[take, outcomes]
 
 
-class _Branches(NamedTuple):
-    """Every measurement branch over all operator pairs and basis secrets."""
+#: Branch probabilities of each secret must sum to one within this tolerance.
+_CONSERVATION_TOL = 1e-12
 
-    secrets: np.ndarray
-    codes: np.ndarray
-    probs: np.ndarray
-    dists: np.ndarray
+
+@cache
+def _hamming_table(dim: int) -> np.ndarray:
+    return np.array([[(i ^ j).bit_count() for j in range(dim)] for i in range(dim)])
+
+
+class _Law(NamedTuple):
+    """The exact law of one (family, Eve) pair, over every basis secret.
+
+    ``guess_by_code`` holds Eve's MAP guess for every record code, ``codes``
+    the codes that occur, and ``rates[s]`` basis secret s's bit error rate,
+    detection-relevant disturbance, Eve's guess success rate and branch
+    count.
+    """
+
     guess_by_code: np.ndarray
+    codes: np.ndarray
+    rates: tuple
 
 
-def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Branches:
+def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Law:
     """One enumeration pass over every (Alice, Bob, basis secret) row.
 
-    Per branch: its secret, Eve's record code, its probability given the
-    secret (operator pairs weigh uniformly) and Bob's final outcome
-    distribution; plus the MAP guess for every record code.
+    Every branch weighs its probability given the secret (operator pairs
+    weigh uniformly), and the branches fold into the (record code, secret)
+    likelihood, whose row maximum is the MAP guess (lowest index on ties),
+    and into Bob's outcome law per secret.
+
+    Raises:
+        RuntimeError: If the branch probabilities of a basis secret fail to
+            sum to one, which would indicate a broken enumeration.
     """
     dim, count = family.dim, len(family)
     alice_idx, bob_idx, secrets = np.indices((count, count, dim)).reshape(3, -1)
@@ -316,11 +336,28 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Branches:
     likelihood = np.bincount(
         codes * dim + secrets, weights=probs, minlength=dim ** (len(eve.stages) + 1)
     ).reshape(-1, dim)
-    return _Branches(secrets, codes, probs, dists, likelihood.argmax(axis=1))
+    total = likelihood.sum(axis=0)
+    for index, mass in enumerate(total.tolist()):
+        if abs(mass - 1.0) > _CONSERVATION_TOL:
+            raise RuntimeError(
+                f"branch probabilities of secret {index} sum to {mass!r}, expected 1")
+    guess_by_code = likelihood.argmax(axis=1)
+    # Bob's outcome law: row s holds the probability of each outcome given secret s.
+    outcome_law = np.bincount(
+        (secrets[:, None] * dim + np.arange(dim)).ravel(),
+        weights=(probs[:, None] * dists).ravel(), minlength=dim * dim,
+    ).reshape(dim, dim)
+    rates = zip(
+        ((outcome_law * _hamming_table(dim)).sum(axis=1) / (dim.bit_length() - 1)).tolist(),
+        (total - outcome_law.diagonal()).tolist(),
+        np.bincount(guess_by_code, weights=likelihood.max(axis=1), minlength=dim).tolist(),
+        np.bincount(secrets, minlength=dim).tolist(),
+    )
+    return _Law(guess_by_code, np.flatnonzero(likelihood.any(axis=1)), tuple(rates))
 
 
 @lru_cache(maxsize=1)
-def _law(family: OperatorFamily, eve: EveStrategy) -> _Branches:
+def _law(family: OperatorFamily, eve: EveStrategy) -> _Law:
     """The enumeration of the last (family, Eve) pair, compared by value."""
     return _enumerate(family, eve)
 
@@ -370,6 +407,8 @@ def run_key_session(config: SessionConfig) -> SessionReport:
 
     Raises:
         ValueError: If the family name is unknown.
+        RuntimeError: If Eve is active and the enumerated branch
+            probabilities of any basis secret fail to sum to one.
     """
     family = get_family(config.family_name)
     dim = family.dim

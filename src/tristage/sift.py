@@ -61,6 +61,9 @@ class SiftReport:
     def __post_init__(self, disclosed_indices):
         # Not passed, the default is the property itself, which builds the set.
         if not isinstance(disclosed_indices, cached_property):
+            if min(disclosed_indices, default=0) < 0:
+                raise ValueError(
+                    f"disclosed indices must be >= 0, got {sorted(disclosed_indices)}")
             self.__dict__["disclosed_indices"] = frozenset(disclosed_indices)
             bits = np.zeros(max(disclosed_indices, default=-1) + 1, dtype=np.uint8)
             bits[list(disclosed_indices)] = 1

@@ -8,6 +8,7 @@ import pytest
 from tristage import (
     ChannelContext,
     EveStrategy,
+    ExactAnalysis,
     NoiseModel,
     OperatorFamily,
     SessionConfig,
@@ -25,7 +26,7 @@ from tristage import (
     run_key_session,
     run_three_stage,
 )
-from tristage import analysis, cli, protocol
+from tristage import cli, protocol
 
 STAGE_1 = StageLabel.ALICE_TO_BOB_1
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -246,11 +247,10 @@ class TestEveRequired:
 def enumerations(monkeypatch):
     """Count the calls to `protocol._enumerate` made during a test.
 
-    The kept enumeration and rates are dropped first, so that an equal
-    family and Eve from an earlier test cannot serve the first call.
+    The kept law is dropped first, so that an equal family and Eve from an
+    earlier test cannot serve the first call.
     """
     protocol._law.cache_clear()
-    analysis._exact.cache_clear()
     calls = []
     enumerate_all = protocol._enumerate
 
@@ -274,7 +274,7 @@ def _dft_eve():
 
 def _fresh(fam, eve):
     """Every secret's rates from a new enumeration, bypassing the cache."""
-    return analysis._rates(fam, protocol._enumerate(fam, eve))
+    return tuple(ExactAnalysis(*rates) for rates in protocol._enumerate(fam, eve).rates)
 
 
 class TestEnumerationReuse:
@@ -302,16 +302,6 @@ class TestEnumerationReuse:
         report = cli.run_experiment(config)
         assert len(enumerations) == 1
         assert all(row.eve_guess_success_rate is not None for row in report.per_trial)
-
-    def test_tables_and_sampling_skip_exact_rates(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_rates", None)
-        fam, eve = get_family("controlled-pair"), _stage_eve(1, 2)
-        map_decision_table(fam, eve)
-        map_guesser(fam, eve)
-        monte_carlo_analysis(fam, ChannelContext(eve=eve), basis_state(3, 2),
-                             trials=100, seed=1)
-        run_key_session(SessionConfig(family_name="controlled-pair", blocks=100,
-                                      eve_strategy=eve, seed=1))
 
     def test_alternating_strategies_match_fresh_results(self, enumerations):
         """A, B, A enumerates three times; the twin equals the last A, so it
@@ -360,3 +350,34 @@ class TestEnumerationReuse:
             exact_analysis(get_family("hadamard"), rotated, basis_state(0, 1))
             with pytest.raises(ValueError, match="pre-rotation"):
                 exact_analysis(get_family("dft"), rotated, basis_state(0, 2))
+
+
+class TestConservationCheck:
+    """Every enumeration checks that each secret's branch probabilities sum
+    to one, so a broken enumeration stops every route that reads the law.
+    Pruning at 0.05 drops real branches and breaks conservation."""
+
+    @pytest.fixture(autouse=True)
+    def lossy_enumeration(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_PRUNE", 0.05)
+        protocol._law.cache_clear()
+        yield
+        protocol._law.cache_clear()
+
+    @pytest.mark.parametrize("call", [
+        lambda fam, eve: map_decision_table(fam, eve),
+        lambda fam, eve: monte_carlo_analysis(fam, ChannelContext(eve=eve), basis_state(0, 2),
+                                              trials=10, seed=1),
+        lambda fam, eve: run_key_session(SessionConfig(family_name="dft", blocks=10,
+                                                       eve_strategy=eve, seed=1)),
+        lambda fam, eve: exact_analysis(fam, eve, basis_state(2, 2)),
+    ], ids=["map_decision_table", "monte_carlo_analysis", "run_key_session", "exact_analysis"])
+    def test_every_route_raises_naming_the_secret(self, call):
+        with pytest.raises(RuntimeError,
+                           match=r"branch probabilities of secret 0 sum to .*, expected 1"):
+            call(get_family("dft"), _stage_eve(1, 2, 3))
+
+    def test_cli_exact_mode_exits_1(self, capsys):
+        status = cli.main(["run", "--mode", "exact", "--eve-stages", "1,2,3", "--family", "dft"])
+        assert status == 1
+        assert "error: branch probabilities" in capsys.readouterr().err

@@ -224,3 +224,9 @@ class TestLazyDisclosure:
         assert changed.disclosed_mask == report.disclosed_mask ^ (1 << first)
         assert changed != report
         assert dataclasses.replace(report, detected=False) == report
+
+    @pytest.mark.parametrize("indices", ({5, -1}, {-1}))
+    def test_negative_replaced_index_rejected(self, indices):
+        report = parity_check((0, 1) * 40, (0, 1) * 40, rounds=3, rng=np.random.default_rng(2))
+        with pytest.raises(ValueError, match="disclosed indices must be >= 0"):
+            dataclasses.replace(report, disclosed_indices=indices)
