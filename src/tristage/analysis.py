@@ -2,26 +2,24 @@
 
 Both routes read values the protocol module computes from its pipeline.
 `exact_analysis` reads the exact law `protocol._law`: every operator pair,
-basis secret and eavesdropper measurement branch with its Born-rule weight,
-giving closed-form rates.  `monte_carlo_analysis` reads the outcomes and
-record codes of `protocol.sample_passes`, one draw per random event of a
-per-run simulation, without per-run overhead.  Tests drive both against
-each other and against the per-run reference `protocol.run_three_stage`.
+basis secret, eavesdropper measurement branch and noise flip pattern with
+its exact weight, giving closed-form rates.  `monte_carlo_analysis` reads
+the outcomes and record codes of `protocol.sample_passes`, one draw per
+random event of a per-run simulation, without per-run overhead.  Tests
+drive both against each other and against the per-run reference
+`protocol.run_three_stage`.
 
 One enumeration covers every basis secret at once, and the law keeps the
-last one: calls whose family and Eve equal those of the call before (a
-sweep over secrets, a MAP table followed by exact rates, or sessions)
-reuse it, whether the objects are the same or were built separately.  The
-law carries every basis secret's exact rates, and every enumeration checks
-that each secret's branch probabilities sum to one.
+last one: calls whose channel (family, Eve and noise) equals that of the
+call before (a sweep over secrets, a MAP table followed by exact rates, or
+sessions) reuse it, whether the objects are the same or were built
+separately.  The law carries every basis secret's exact rates, and every
+enumeration checks that each secret's branch probabilities sum to one.
 
-The eavesdropper's guess is maximum-a-posteriori on a noise-free channel:
-from the exact joint distribution of (secret, records) under uniform
-secrets and operator choices, each observable record tuple maps to the most
-likely secret index (lowest index on ties).  The table ignores noise, so on
-a noisy channel it under-reports leakage: for ``dft`` with Eve at stages
-1,2,3 and flip probability 0.1 its guess rate, averaged over secrets, is
-0.554 where the noise-aware MAP rate is 0.625.
+The eavesdropper's guess is maximum-a-posteriori on the channel as
+configured, noise included: from the exact joint law of (secret, records),
+each observable record tuple maps to the most likely secret index (lowest
+index on ties).
 
 Rates reported:
 
@@ -42,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adversary import ChannelContext, EveStrategy
+from .adversary import ChannelContext, EveStrategy, NoiseModel
 from .opsets import OperatorFamily
 from .protocol import _hamming_table, _law, sample_passes
 from .qcore import StateVector, is_basis_state
@@ -51,8 +49,8 @@ from .qcore import StateVector, is_basis_state
 class ExactAnalysis:
     """Closed-form rates for one (family, strategy, secret) scenario.
 
-    A CLI report averages them over the basis secrets and sums the branch
-    counts; there the guess rate is None on a channel without Eve.
+    The guess rate is None on a channel without Eve.  A CLI report averages
+    the rates over the basis secrets and sums the branch counts.
     """
 
     bit_error_rate: float
@@ -74,11 +72,6 @@ class MonteCarloAnalysis:
     eve_guess_success_rate_stderr: float | None
 
 
-def _require_eve(eve: EveStrategy | None) -> None:
-    if eve is None:
-        raise ValueError("no eavesdropper: pass an EveStrategy, not None")
-
-
 def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
     if family.dim != secret.dim:
         raise ValueError(f"family dim {family.dim} does not match secret dim {secret.dim}")
@@ -88,8 +81,10 @@ def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
     return index
 
 
-def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
-    """MAP guess per observable record tuple, from the exact joint law.
+def map_decision_table(family: OperatorFamily, eve: EveStrategy, *,
+                       noise: NoiseModel | None = None) -> dict:
+    """MAP guess per observable record tuple, from the exact joint law of
+    the channel with Eve and ``noise``, the bit-flip noise after her.
 
     Built by enumerating every basis secret with uniform prior; ties break
     toward the lowest secret index, making the table deterministic.
@@ -99,40 +94,41 @@ def map_decision_table(family: OperatorFamily, eve: EveStrategy) -> dict:
         RuntimeError: If the enumerated branch probabilities of any basis
             secret fail to sum to one.
     """
-    _require_eve(eve)
-    law = _law(family, eve)
+    if eve is None:
+        raise ValueError("no eavesdropper: pass an EveStrategy, not None")
+    law = _law(family, eve, noise)
     dim, count = family.dim, len(eve.stages)
     return {tuple(int(c) // dim ** (count - 1 - i) % dim for i in range(count)):
             int(law.guess_by_code[c]) for c in law.codes}
 
 
-def map_guesser(family: OperatorFamily, eve: EveStrategy) -> Callable[[tuple], int]:
+def map_guesser(family: OperatorFamily, eve: EveStrategy, *,
+                noise: NoiseModel | None = None) -> Callable[[tuple], int]:
     """Callable form of `map_decision_table`; unseen records guess index 0."""
-    table = map_decision_table(family, eve)
+    table = map_decision_table(family, eve, noise=noise)
     return lambda records: table.get(tuple(records), 0)
 
 
-def exact_analysis(
-    family: OperatorFamily, eve: EveStrategy, secret: StateVector
-) -> ExactAnalysis:
+def exact_analysis(family: OperatorFamily, eve: EveStrategy | None, secret: StateVector, *,
+                   noise: NoiseModel | None = None) -> ExactAnalysis:
     """Compute disturbance and leakage rates by exhaustive enumeration.
 
     Enumerates all operator pairs with uniform weights and, inside each, the
-    full tree of eavesdropper collapse outcomes with exact probabilities.
+    full tree of eavesdropper collapse outcomes and noise flip patterns with
+    exact probabilities.
 
     Args:
         secret: A computational basis state of the family's dimension.
+        noise: The bit-flip noise after Eve on every pass, or None.
 
     Raises:
-        ValueError: If ``eve`` is None, dimensions disagree or the secret is
-            not a basis state.
+        ValueError: If dimensions disagree or the secret is not a basis state.
         RuntimeError: If the enumerated branch probabilities of any basis
             secret fail to sum to one, which would indicate a broken
             enumeration.
     """
-    _require_eve(eve)
     secret_index = _secret_index(family, secret)
-    return ExactAnalysis(*_law(family, eve).rates[secret_index])
+    return ExactAnalysis(*_law(family, eve, noise).rates[secret_index])
 
 
 def monte_carlo_analysis(
@@ -176,7 +172,7 @@ def monte_carlo_analysis(
     disturbance_stderr = math.sqrt(disturbance * (1.0 - disturbance) / trials)
     success = success_stderr = None
     if ctx.eve is not None:
-        right = _law(family, ctx.eve).guess_by_code[record_codes] == secret_index
+        right = _law(family, ctx.eve, ctx.noise).guess_by_code[record_codes] == secret_index
         success = float(right.mean())
         success_stderr = math.sqrt(success * (1.0 - success) / trials)
     return MonteCarloAnalysis(

@@ -216,15 +216,10 @@ def _config_from_namespace(
                 f"--eve-basis: unknown label {ns.eve_basis!r} for this family's "
                 f"dimension (choose from: {known})"
             )
-    trials = ns.trials
-    if ns.mode == "exact":
-        if ns.noise > 0.0:
-            parser.error("--mode exact requires --noise 0")
-        trials = 1
     return ExperimentConfig(
         family=ns.family,
         blocks=ns.blocks,
-        trials=trials,
+        trials=1 if ns.mode == "exact" else ns.trials,
         eve_stages=eve_stages,
         eve_basis=ns.eve_basis,
         noise=ns.noise,
@@ -319,28 +314,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     exact = None
     deltas = None
     if config.mode == "exact":
-        if eve is not None:
-            per_secret = [
-                exact_analysis(family, eve, basis_state(index, num_qubits))
-                for index in range(family.dim)
-            ]
-            *rate_sums, branch_count = map(sum, zip(*map(astuple, per_secret)))
-            exact = ExactAnalysis(*(total / family.dim for total in rate_sums), branch_count)
-        else:
-            # Clean channel: recovery is exact, so the reference rates are
-            # zero and each operator pair and secret is one deterministic
-            # branch.
-            exact = ExactAnalysis(
-                bit_error_rate=0.0,
-                detection_relevant_disturbance=0.0,
-                eve_guess_success_rate=None,
-                branch_count=len(family) ** 2 * family.dim,
-            )
+        per_secret = [
+            exact_analysis(family, eve, basis_state(index, num_qubits), noise=noise)
+            for index in range(family.dim)
+        ]
+        *rates, branch_counts = zip(*map(astuple, per_secret))
+        means = (None if None in column else sum(column) / family.dim for column in rates)
+        exact = ExactAnalysis(*means, sum(branch_counts))
         deltas = DeltaSummary(
             bit_error_rate=mean - exact.bit_error_rate,
             eve_guess_success_rate=(
-                success - exact.eve_guess_success_rate if eve is not None else None
-            ),
+                None if success is None else success - exact.eve_guess_success_rate),
         )
     return ExperimentReport(
         schema_version=SCHEMA_VERSION,

@@ -9,21 +9,21 @@ secret bits exactly on a clean channel.
 
 `run_three_stage` executes one run on state objects and keeps its
 transcript.  `run_passes` is the same pipeline on many runs at once, and
-only this module runs it: `sample_passes` samples it (for key sessions and
-Monte Carlo analysis), and `_enumerate` walks every branch of it with exact
-weights.  The runs go in chunks of `_CHUNK` rows; a row is an integer id
-into a small table of the distinct states its chunk can reach, so the
-operators, Eve's re-preparation and the noise flips act on the table, never
-row by row.
+only this module runs it: `sample_passes` draws its random events, Eve's
+collapses and the noise flips (for key sessions and Monte Carlo analysis),
+and `_enumerate` expands every branch of them with exact weights.  The runs
+go in chunks of `_CHUNK` rows; a row is an integer id into a small table of
+the distinct states its chunk can reach, so the operators, Eve's
+re-preparation and the noise flips act on the table, never row by row.
 
 Eve's record of a run is an integer code, her outcomes in base ``dim``,
 first intercepted stage most significant.  `_enumerate` folds its branches
-into the exact law of a (family, Eve) pair: her MAP guess for every code,
-the codes that occur and every basis secret's exact rates.  `_law` keeps
-the law of the last pair, compared by value; sessions and Monte Carlo
-analysis score her by its ``guess_by_code``.  A session draws everything
-from one stream seeded by the session seed, so identical configs
-reproduce identical reports.
+into the exact law of a channel (family, Eve and noise): her MAP guess for
+every code, the codes that occur and every basis secret's exact rates.
+`_law` keeps the law of the last channel, compared by value; sessions and
+Monte Carlo analysis score her by its ``guess_by_code``.  A session draws
+everything from one stream seeded by the session seed, so identical
+configs reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def run_passes(
     alice_idx: np.ndarray,
     bob_idx: np.ndarray,
     collapse: Callable,
-    rng: np.random.Generator | None = None,
+    flip: Callable,
     weights: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
     """Run the three passes on rows of basis secrets, in chunks of `_CHUNK` rows.
@@ -172,11 +172,13 @@ def run_passes(
     Eve intercepts, ``collapse(probs, ids, weights)`` resolves her
     measurement from the table's Born probabilities in her basis, the rows'
     ids and their weights; it returns the source row of each resulting row
-    (None: one each), their outcomes and their weights.  The rows carry on
+    (``slice(None)``: one each), their outcomes and their weights.  The rows carry on
     from her re-prepared states, and her outcomes accumulate into a record
     code in base ``family.dim``, first intercepted stage most significant.
-    On a noisy channel every stage then flips qubits, drawing
-    ``num_qubits`` uniforms per row from ``rng``.
+    On a noisy channel ``flip(ids, weights)`` then returns rows, flip masks
+    (first qubit most significant) and weights as ``collapse`` does.  Once
+    a flip has come, each collapse merges the weighted rows with equal input
+    row and record code, which share their whole future.
 
     Yields:
         Per chunk: the input row of each resulting row, the Born
@@ -188,7 +190,6 @@ def run_passes(
         ValueError: If Eve's pre-rotation does not match the family dimension.
     """
     dim, count = family.dim, len(family)
-    num_qubits = dim.bit_length() - 1
     eve = ctx.eve
     rotation = eve.pre_rotation if eve is not None else None
     if rotation is not None and rotation.dim != dim:
@@ -198,7 +199,8 @@ def run_passes(
     measure_t = rotation.matrix.T if rotation is not None else None
     reprep = rotation.matrix.conj() if rotation is not None else np.eye(dim, dtype=complex)
     attacked = [eve is not None and eve.attacks(stage) for stage in STAGES]
-    noise_p = ctx.noise.bit_flip_probability if ctx.noise is not None else None
+    noisy, code_range = ctx.noise is not None, dim ** sum(attacked)
+    merge = noisy and weights is not None
     members = np.stack([m.matrix for m in family.members])
     start_table = members.transpose(0, 2, 1).reshape(-1, dim)
     # Stage k's member m maps table row t to row t*count + m of
@@ -209,23 +211,26 @@ def run_passes(
     ]
     # flips[m] permutes a row's entries as flipping the qubits set in mask m.
     flips = np.arange(dim) ^ np.arange(dim)[:, None]
+    stages = list(zip(attacked, (False, merge, merge), posts, (bob_idx, alice_idx, bob_idx)))
     for start in range(0, len(secrets), _CHUNK):
         rows = np.arange(start, min(start + _CHUNK, len(secrets)))
         row_weights = weights[rows] if weights is not None else None
         codes = np.zeros(len(rows), dtype=np.int64)
         table, ids = _compact(start_table, alice_idx[rows] * dim + secrets[rows])
-        for hit, post, member_idx in zip(attacked, posts, (bob_idx, alice_idx, bob_idx)):
+        for hit, merging, post, member_idx in stages:
             if hit:
                 amps = table @ measure_t if measure_t is not None else table
                 take, outcomes, row_weights = collapse(np.abs(amps) ** 2, ids, row_weights)
-                if take is not None:
-                    rows, codes = rows[take], codes[take]
+                rows, codes = rows[take], codes[take] * dim + outcomes
+                if merging:
+                    keys, merged = np.unique(rows * code_range + codes, return_inverse=True)
+                    row_weights = np.bincount(merged, weights=row_weights)
+                    rows, codes = np.divmod(keys, code_range)
+                    outcomes = codes % dim
                 table, ids = _compact(reprep, outcomes)
-                codes = codes * dim + outcomes
-            if noise_p is not None:
-                masks = np.zeros(len(ids), dtype=np.int64)
-                for flipped in (rng.random((len(ids), num_qubits)) < noise_p).T:
-                    masks = masks << 1 | flipped
+            if noisy:
+                take, masks, row_weights = flip(ids, row_weights)
+                rows, codes, ids = rows[take], codes[take], ids[take]
                 if masks.any():
                     ids = masks * len(table) + ids
                     table, ids = _compact(table[:, flips].swapaxes(0, 1).reshape(-1, dim), ids)
@@ -265,14 +270,21 @@ def sample_passes(
     """
     alice_idx = rng.integers(0, len(family), size=len(secrets))
     bob_idx = rng.integers(0, len(family), size=len(secrets))
+    num_qubits = family.dim.bit_length() - 1
     outcomes = np.empty(len(secrets), dtype=np.int64)
     codes = np.zeros(len(secrets), dtype=np.int64)
 
     def collapse(probs, ids, weights):
-        return None, _born_draw(probs, ids, rng), None
+        return slice(None), _born_draw(probs, ids, rng), None
+
+    def flip(ids, weights):
+        masks = np.zeros(len(ids), dtype=np.int64)
+        for flipped in (rng.random((len(ids), num_qubits)) < ctx.noise.bit_flip_probability).T:
+            masks = masks << 1 | flipped
+        return slice(None), masks, None
 
     for rows, final, ids, row_codes, _ in run_passes(
-        family, ctx, secrets, alice_idx, bob_idx, collapse, rng
+        family, ctx, secrets, alice_idx, bob_idx, collapse, flip
     ):
         outcomes[rows] = _born_draw(final, ids, rng)
         codes[rows] = row_codes
@@ -283,9 +295,8 @@ def sample_passes(
 _PRUNE = 1e-15
 
 
-def _every_outcome(probs: np.ndarray, ids: np.ndarray, weights: np.ndarray):
-    """Enumeration rule: every outcome of every row, with its weight."""
-    branch = weights[:, None] * probs[ids]
+def _branches(branch: np.ndarray):
+    """Enumeration rule: every (row, outcome) of ``branch``, with its weight."""
     take, outcomes = np.nonzero(branch > _PRUNE)
     return take, outcomes, branch[take, outcomes]
 
@@ -300,12 +311,12 @@ def _hamming_table(dim: int) -> np.ndarray:
 
 
 class _Law(NamedTuple):
-    """The exact law of one (family, Eve) pair, over every basis secret.
+    """The exact law of one channel, over every basis secret.
 
     ``guess_by_code`` holds Eve's MAP guess for every record code, ``codes``
-    the codes that occur, and ``rates[s]`` basis secret s's bit error rate,
-    detection-relevant disturbance, Eve's guess success rate and branch
-    count.
+    the codes that occur (only 0 without Eve), and ``rates[s]`` basis secret
+    s's bit error rate, detection-relevant disturbance, Eve's guess success
+    rate (None without Eve) and branch count.
     """
 
     guess_by_code: np.ndarray
@@ -313,13 +324,13 @@ class _Law(NamedTuple):
     rates: tuple
 
 
-def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Law:
+def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseModel | None) -> _Law:
     """One enumeration pass over every (Alice, Bob, basis secret) row.
 
-    Every branch weighs its probability given the secret (operator pairs
-    weigh uniformly), and the branches fold into the (record code, secret)
-    likelihood, whose row maximum is the MAP guess (lowest index on ties),
-    and into Bob's outcome law per secret.
+    Every branch weighs its probability given the secret (uniform operator
+    pairs; p^k (1-p)^(q-k) for a flip of k of q qubits).  Each chunk folds
+    into the (record code, secret) likelihood, whose row maximum is the MAP
+    guess (lowest index on ties), and into Bob's outcome law per secret.
 
     Raises:
         RuntimeError: If the branch probabilities of a basis secret fail to
@@ -327,39 +338,47 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy) -> _Law:
     """
     dim, count = family.dim, len(family)
     alice_idx, bob_idx, secrets = np.indices((count, count, dim)).reshape(3, -1)
-    weights = np.full(secrets.size, 1.0 / count**2)
-    passes = run_passes(family, ChannelContext(eve=eve), secrets, alice_idx, bob_idx,
-                        _every_outcome, weights=weights)
-    chunks = [(rows, final[ids], codes, probs) for rows, final, ids, codes, probs in passes]
-    rows, dists, codes, probs = map(np.concatenate, zip(*chunks))
-    secrets = secrets[rows]
-    likelihood = np.bincount(
-        codes * dim + secrets, weights=probs, minlength=dim ** (len(eve.stages) + 1)
-    ).reshape(-1, dim)
+
+    def flip(ids, weights):
+        p, k = noise.bit_flip_probability, _hamming_table(dim)[0]
+        return _branches(weights[:, None] * (p**k * (1.0 - p) ** (dim.bit_length() - 1 - k)))
+
+    likelihood = np.zeros((dim ** (len(eve.stages) if eve is not None else 0), dim))
+    outcome_law = np.zeros((dim, dim))  # row s: each outcome's probability given secret s
+    branch_count = np.zeros(dim, dtype=np.int64)
+    for rows, final, ids, codes, probs in run_passes(
+        family, ChannelContext(eve=eve, noise=noise), secrets, alice_idx, bob_idx,
+        lambda probs, ids, weights: _branches(weights[:, None] * probs[ids]),
+        flip, np.full(secrets.size, 1.0 / count**2),
+    ):
+        row_secrets = secrets[rows]
+        likelihood += np.bincount(codes * dim + row_secrets, weights=probs,
+                                  minlength=likelihood.size).reshape(-1, dim)
+        outcome_law += np.bincount(row_secrets * len(final) + ids, weights=probs,
+                                   minlength=dim * len(final)).reshape(dim, -1) @ final
+        branch_count += np.bincount(row_secrets, minlength=dim)
     total = likelihood.sum(axis=0)
     for index, mass in enumerate(total.tolist()):
         if abs(mass - 1.0) > _CONSERVATION_TOL:
             raise RuntimeError(
                 f"branch probabilities of secret {index} sum to {mass!r}, expected 1")
     guess_by_code = likelihood.argmax(axis=1)
-    # Bob's outcome law: row s holds the probability of each outcome given secret s.
-    outcome_law = np.bincount(
-        (secrets[:, None] * dim + np.arange(dim)).ravel(),
-        weights=(probs[:, None] * dists).ravel(), minlength=dim * dim,
-    ).reshape(dim, dim)
+    # Each rate is part of a secret's mass over the whole, summed alike, so it is in [0, 1].
+    hamming, outcome_mass = _hamming_table(dim), outcome_law.sum(axis=1)
+    guessed = guess_by_code[:, None] == np.arange(dim)
     rates = zip(
-        ((outcome_law * _hamming_table(dim)).sum(axis=1) / (dim.bit_length() - 1)).tolist(),
-        (total - outcome_law.diagonal()).tolist(),
-        np.bincount(guess_by_code, weights=likelihood.max(axis=1), minlength=dim).tolist(),
-        np.bincount(secrets, minlength=dim).tolist(),
+        ((outcome_law * hamming).sum(axis=1) / (dim.bit_length() - 1) / outcome_mass).tolist(),
+        ((outcome_law * (hamming > 0)).sum(axis=1) / outcome_mass).tolist(),
+        ((likelihood * guessed).sum(axis=0) / total).tolist() if eve else [None] * dim,
+        branch_count.tolist(),
     )
     return _Law(guess_by_code, np.flatnonzero(likelihood.any(axis=1)), tuple(rates))
 
 
 @lru_cache(maxsize=1)
-def _law(family: OperatorFamily, eve: EveStrategy) -> _Law:
-    """The enumeration of the last (family, Eve) pair, compared by value."""
-    return _enumerate(family, eve)
+def _law(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseModel | None) -> _Law:
+    """The enumeration of the last channel, compared by value."""
+    return _enumerate(family, eve, noise)
 
 
 @dataclass(frozen=True)
@@ -423,7 +442,7 @@ def run_key_session(config: SessionConfig) -> SessionReport:
     bob_bits = (outcomes[:, None] >> shifts & 1).ravel()
     success_rate = None
     if eve is not None:
-        guesses = _law(family, eve).guess_by_code[codes]
+        guesses = _law(family, eve, config.noise).guess_by_code[codes]
         success_rate = int((guesses == secrets).sum()) / config.blocks
     return SessionReport(
         alice_bits=tuple(alice_bits.tolist()),

@@ -183,6 +183,11 @@ class TestMonteCarlo:
         )
         sigma = math.sqrt(expected * (1 - expected) / 100_000)
         assert abs(mc.bit_error_rate - expected) < 3 * sigma
+        exact = exact_analysis(get_family("pauli"), None, basis_state(0, 1), noise=NoiseModel(p))
+        assert expected == pytest.approx(0.244, abs=1e-12)
+        assert exact.bit_error_rate == pytest.approx(expected, abs=1e-12)
+        assert exact.detection_relevant_disturbance == pytest.approx(expected, abs=1e-12)
+        assert exact.eve_guess_success_rate is None
 
     def test_deterministic_given_seed(self):
         fam = get_family("dft")
@@ -229,11 +234,11 @@ class TestMonteCarlo:
 
 
 class TestEveRequired:
-    """A missing eavesdropper is named at the entry point, before any
-    enumeration starts."""
+    """A channel without Eve has no records: a MAP table names the missing
+    eavesdropper at the entry point, before any enumeration starts, while
+    exact rates exist and carry no guess rate."""
 
     @pytest.mark.parametrize("call", [
-        lambda fam: exact_analysis(fam, None, basis_state(0, 1)),
         lambda fam: map_decision_table(fam, None),
         lambda fam: map_guesser(fam, None),
     ])
@@ -241,6 +246,16 @@ class TestEveRequired:
         monkeypatch.setattr(protocol, "_enumerate", None)
         with pytest.raises(ValueError, match="eavesdropper"):
             call(get_family("hadamard"))
+
+    def test_exact_rates_without_eve_are_clean_channel_rates(self):
+        """Recovery is exact on a clean channel: no error, no guess, and one
+        branch per operator pair."""
+        fam = get_family("hadamard")
+        result = exact_analysis(fam, None, basis_state(0, 1))
+        assert result.bit_error_rate == pytest.approx(0.0, abs=1e-15)
+        assert result.detection_relevant_disturbance == pytest.approx(0.0, abs=1e-15)
+        assert result.eve_guess_success_rate is None
+        assert result.branch_count == len(fam) ** 2
 
 
 @pytest.fixture
@@ -254,9 +269,9 @@ def enumerations(monkeypatch):
     calls = []
     enumerate_all = protocol._enumerate
 
-    def counted(family, eve):
-        calls.append((family, eve))
-        return enumerate_all(family, eve)
+    def counted(family, eve, noise):
+        calls.append((family, eve, noise))
+        return enumerate_all(family, eve, noise)
 
     monkeypatch.setattr(protocol, "_enumerate", counted)
     return calls
@@ -272,9 +287,9 @@ def _dft_eve():
     return EveStrategy(stages={StageLabel(n) for n in (1, 2, 3)}, pre_rotation=rotation)
 
 
-def _fresh(fam, eve):
+def _fresh(fam, eve, noise=None):
     """Every secret's rates from a new enumeration, bypassing the cache."""
-    return tuple(ExactAnalysis(*rates) for rates in protocol._enumerate(fam, eve).rates)
+    return tuple(ExactAnalysis(*rates) for rates in protocol._enumerate(fam, eve, noise).rates)
 
 
 class TestEnumerationReuse:
@@ -290,9 +305,12 @@ class TestEnumerationReuse:
             monte_carlo_analysis(fam, ctx, secret, trials=200, seed=index)
         assert len(enumerations) == 1
 
-    def test_cli_exact_mode_enumerates_once(self, enumerations):
+    @pytest.mark.parametrize("noise", [[], ["--noise", "0.05"]], ids=["clean", "noisy"])
+    def test_cli_exact_mode_enumerates_once(self, enumerations, noise):
+        """The sessions and the exact rates share the law of one channel,
+        noise included."""
         config = cli.parse_arguments(["run", "--family", "quaternion", "--mode", "exact",
-                                      "--eve-stages", "1,3", "--blocks", "20"])
+                                      "--eve-stages", "1,3", "--blocks", "20", *noise])
         cli.run_experiment(config)
         assert len(enumerations) == 1
 

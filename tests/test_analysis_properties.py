@@ -1,5 +1,5 @@
 """Property tests of exact enumeration: over random commuting families, and
-sampling against it over every noise-free input the CLI accepts."""
+sampling against it over the inputs the CLI accepts, noise included."""
 
 import math
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tristage import (
     ChannelContext,
     EveStrategy,
+    NoiseModel,
     OperatorFamily,
     SessionConfig,
     StageLabel,
@@ -21,6 +22,8 @@ from tristage import (
     monte_carlo_analysis,
     operator_catalog,
     run_key_session,
+    run_three_stage,
+    verify_recovery,
 )
 
 
@@ -70,13 +73,22 @@ def test_secret_order_does_not_change_results(scenario):
 
 
 @st.composite
-def cli_inputs(draw):
-    """A catalog family, a non-empty stage set and no basis or a catalog
-    label of the family's dimension: the noise-free inputs of `tristage run`."""
+def cli_inputs(draw, noise_levels=(0.0, 0.02, 0.1, 0.3)):
+    """A catalog family, a stage set (empty: no Eve), no basis or a catalog
+    label of the family's dimension when Eve is present, and a flip
+    probability: the inputs of `tristage run`."""
     name = draw(st.sampled_from(family_names()))
-    stages = draw(st.sets(st.sampled_from((1, 2, 3)), min_size=1))
-    labels = sorted(operator_catalog(get_family(name).dim))
-    return name, stages, draw(st.sampled_from([None, *labels]))
+    stages = draw(st.sets(st.sampled_from((1, 2, 3))))
+    labels = sorted(operator_catalog(get_family(name).dim)) if stages else []
+    return name, stages, draw(st.sampled_from([None, *labels])), draw(
+        st.sampled_from(noise_levels))
+
+
+def _channel(family, stages, basis, p):
+    """Eve and noise as `tristage run` builds them from its flags."""
+    rotation = operator_catalog(family.dim)[basis] if basis is not None else None
+    eve = _eve(stages, rotation) if stages else None
+    return eve, NoiseModel(p) if p > 0.0 else None
 
 
 def _within(observed, expected, n):
@@ -89,22 +101,54 @@ def _within(observed, expected, n):
 def test_sessions_and_monte_carlo_match_exact_rates(cli_input):
     """A session draws its secret per block and Monte Carlo runs every
     secret, so both are compared with the exact rates averaged over secrets."""
-    name, stages, basis = cli_input
+    name, stages, basis, p = cli_input
     family = get_family(name)
     num_qubits = family.dim.bit_length() - 1
-    rotation = operator_catalog(family.dim)[basis] if basis is not None else None
-    eve = _eve(stages, rotation)
+    eve, noise = _channel(family, stages, basis, p)
     secrets = [basis_state(index, num_qubits) for index in range(family.dim)]
-    rates = ("bit_error_rate", "detection_relevant_disturbance", "eve_guess_success_rate")
-    exact = {rate: np.mean([getattr(exact_analysis(family, eve, s), rate) for s in secrets])
+    guessed = ("eve_guess_success_rate",) if eve is not None else ()
+    rates = ("bit_error_rate", "detection_relevant_disturbance", *guessed)
+    exact = {rate: np.mean([getattr(exact_analysis(family, eve, s, noise=noise), rate)
+                            for s in secrets])
              for rate in rates}
     blocks, trials = 4_000, 4_000
-    session = run_key_session(
-        SessionConfig(family_name=name, blocks=blocks, eve_strategy=eve, seed=3))
-    for rate in ("bit_error_rate", "eve_guess_success_rate"):
+    session = run_key_session(SessionConfig(family_name=name, blocks=blocks,
+                                            eve_strategy=eve, noise=noise, seed=3))
+    for rate in ("bit_error_rate", *guessed):
         assert _within(getattr(session, rate), exact[rate], blocks), ("session", rate)
-    sampled = [monte_carlo_analysis(family, ChannelContext(eve=eve), s, trials, seed=i)
+    ctx = ChannelContext(eve=eve, noise=noise)
+    sampled = [monte_carlo_analysis(family, ctx, s, trials, seed=i)
                for i, s in enumerate(secrets)]
     for rate in rates:
         mean = np.mean([getattr(mc, rate) for mc in sampled])
         assert _within(mean, exact[rate], trials * family.dim), ("monte carlo", rate)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cli_inputs(noise_levels=(0.0, 1e-12, 1e-7, 1e-3, 0.05, 0.5, 0.9, 1.0)))
+def test_exact_rates_exist_for_every_cli_input(cli_input):
+    """Every channel the CLI can configure, extreme flip probabilities
+    included, enumerates within the conservation check and gives rates in
+    [0, 1].  The clean channel recovers every secret, up to phase, for
+    every member pair."""
+    name, stages, basis, p = cli_input
+    family = get_family(name)
+    num_qubits = family.dim.bit_length() - 1
+    eve, noise = _channel(family, stages, basis, p)
+    clean = eve is None and noise is None
+    for index in range(family.dim):
+        secret = basis_state(index, num_qubits)
+        result = exact_analysis(family, eve, secret, noise=noise)
+        rates = [result.bit_error_rate, result.detection_relevant_disturbance]
+        if eve is None:
+            assert result.eve_guess_success_rate is None
+        else:
+            rates.append(result.eve_guess_success_rate)
+        assert all(0.0 <= rate <= 1.0 for rate in rates), (index, rates)
+        if clean:
+            assert all(rate <= 1e-15 for rate in rates), (index, rates)
+            rng = np.random.default_rng(index)
+            for alice in family.members:
+                for bob in family.members:
+                    transcript = run_three_stage(secret, alice, bob, ChannelContext(), rng)
+                    assert verify_recovery(transcript), (index, alice.label, bob.label)

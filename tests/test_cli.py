@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,7 +72,6 @@ class TestArgumentParsing:
             ["run", "--family", "pauli", "--eve-stages", "one"],
             ["run", "--family", "pauli", "--eve-basis", "H"],
             ["run", "--family", "pauli", "--eve-stages", "1", "--eve-basis", "DFT4"],
-            ["run", "--family", "pauli", "--mode", "exact", "--noise", "0.1"],
         ],
     )
     def test_usage_errors_exit_two(self, argv):
@@ -199,6 +199,23 @@ class TestRunCommand:
         assert payload["exact"]["eve_guess_success_rate"] is None
         # One branch per (Alice, Bob, secret) row: 4 * 4 members, 4 secrets.
         assert payload["exact"]["branch_count"] == 64
+
+    def test_exact_mode_on_noisy_channel(self, capsys):
+        """Exact mode enumerates the flip patterns too, so Eve's guess rate
+        is MAP for the noisy channel, and the session samples it."""
+        blocks = 4000
+        code, out, _ = run_cli(
+            capsys,
+            ["run", "--family", "dft", "--mode", "exact", "--eve-stages", "1,2,3",
+             "--noise", "0.05", "--blocks", str(blocks)],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        expected = payload["exact"]["eve_guess_success_rate"]
+        assert expected == pytest.approx(0.625, abs=1e-12)
+        observed = payload["per_trial"][0]["eve_guess_success_rate"]
+        tolerance = 5 * math.sqrt(expected * (1 - expected) / blocks) + 3 / blocks
+        assert abs(observed - expected) <= tolerance
 
     def test_pre_rotation_basis_accepted(self, capsys):
         code, out, _ = run_cli(

@@ -168,8 +168,16 @@ class TestLayout:
         alice = rng.integers(0, len(family), size=blocks)
         bob = rng.integers(0, len(family), size=blocks)
         finals = np.empty((blocks, family.dim))
+
+        def flip(ids, weights):
+            """Sampling rule: two uniforms per row, first qubit most significant."""
+            masks = np.zeros(len(ids), dtype=np.int64)
+            for column in (rng.random((len(ids), 2)) < 0.2).T:
+                masks = masks << 1 | column
+            return slice(None), masks, None
+
         for rows, final, ids, _, _ in run_passes(
-            family, ctx, secrets, alice, bob, None, rng
+            family, ctx, secrets, alice, bob, None, flip
         ):
             assert len(final) <= len(rows) == len(ids)
             finals[rows] = final[ids]
@@ -201,8 +209,8 @@ class TestSessionGuessRate:
         for stages in ((1,), (2,), (1, 2, 3)):
             for basis in (None, rotated):
                 eve = _eve(*stages, basis=basis, dim=family.dim)
-                guess = map_guesser(family, eve)
                 for noise in (None, NoiseModel(0.05)):
+                    guess = map_guesser(family, eve, noise=noise)
                     config = SessionConfig(family_name=name, blocks=blocks,
                                            eve_strategy=eve, noise=noise, seed=21)
                     rng = np.random.default_rng(np.random.SeedSequence(entropy=21))
