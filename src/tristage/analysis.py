@@ -1,13 +1,12 @@
 """Exact and sampled statistics for eavesdropped protocol runs.
 
-Both routes read values the protocol module computes from its pipeline.
-`exact_analysis` reads the exact law `protocol._law`: every operator pair,
-basis secret, eavesdropper measurement branch and noise flip pattern with
-its exact weight, giving closed-form rates.  `monte_carlo_analysis` reads
-the outcomes and record codes of `protocol.sample_passes`, one draw per
-random event of a per-run simulation, without per-run overhead.  Tests
-drive both against each other and against the per-run reference
-`protocol.run_three_stage`.
+Both routes read the exact law `protocol._law`, which enumerates every
+operator pair, basis secret, eavesdropper measurement branch and noise flip
+pattern with its exact weight.  `exact_analysis` reads its closed-form
+rates; `monte_carlo_analysis` draws each trial's record code and Bob's
+outcome from its joint law, one uniform per trial, and estimates the same
+rates from the draws.  Tests check the law against independent per-run
+simulations: `protocol.run_three_stage` and a per-row numpy reference.
 
 One enumeration covers every basis secret at once, and the law keeps the
 last one: calls whose channel (family, Eve and noise) equals that of the
@@ -42,7 +41,7 @@ import numpy as np
 
 from .adversary import ChannelContext, EveStrategy, NoiseModel
 from .opsets import OperatorFamily
-from .protocol import _hamming_table, _law, sample_passes
+from .protocol import _draw, _hamming_table, _law
 from .qcore import StateVector, is_basis_state
 
 @dataclass(frozen=True)
@@ -140,11 +139,10 @@ def monte_carlo_analysis(
 ) -> MonteCarloAnalysis:
     """Estimate the scenario rates by simulating many independent runs.
 
-    Each trial draws the two operators, collapses the state at every
-    intercepted stage, applies per-qubit noise flips per transmission, and
-    measures the recovered state, all from one seeded stream.  Trials are
-    simulated together in chunks of rows that share a table of states,
-    which changes nothing statistically.
+    Each trial draws its record code and Bob's outcome together from the
+    exact joint law of the channel given the secret, with one uniform from a
+    seeded stream; the law covers the two operators, the collapse at every
+    intercepted stage and the per-qubit noise flips of every transmission.
 
     Standard errors: the bit-error rate uses the sample standard error of
     the per-trial bit-error fractions; the whole-block rates use the
@@ -153,15 +151,15 @@ def monte_carlo_analysis(
     Raises:
         ValueError: If dimensions disagree, the secret is not a basis
             state, or ``trials`` < 1.
-        RuntimeError: If Eve is active and the enumerated branch
-            probabilities of any basis secret fail to sum to one.
+        RuntimeError: If the enumerated branch probabilities of any basis
+            secret fail to sum to one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     secret_index = _secret_index(family, secret)
+    law = _law(family, ctx.eve, ctx.noise)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    secrets = np.broadcast_to(secret_index, trials)
-    outcomes, record_codes = sample_passes(family, ctx, secrets, rng)
+    record_codes, outcomes = divmod(_draw(law.joint[secret_index], trials, rng), family.dim)
     bit_fractions = _hamming_table(family.dim)[secret_index][outcomes] / secret.num_qubits
     bit_error = float(bit_fractions.mean())
     bit_error_stderr = (
@@ -172,7 +170,7 @@ def monte_carlo_analysis(
     disturbance_stderr = math.sqrt(disturbance * (1.0 - disturbance) / trials)
     success = success_stderr = None
     if ctx.eve is not None:
-        right = _law(family, ctx.eve, ctx.noise).guess_by_code[record_codes] == secret_index
+        right = law.guess_by_code[record_codes] == secret_index
         success = float(right.mean())
         success_stderr = math.sqrt(success * (1.0 - success) / trials)
     return MonteCarloAnalysis(

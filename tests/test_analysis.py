@@ -197,8 +197,9 @@ class TestMonteCarlo:
         assert first == second
 
     def test_cross_validates_against_per_run_simulation(self):
-        """The batched sampler and literal per-run protocol execution are
-        independent routes; both must sit within 3 sigma of enumeration."""
+        """Literal per-run protocol execution is independent of enumeration,
+        and Monte Carlo draws from the enumerated law; both must sit within
+        3 sigma of the exact rate."""
         fam = get_family("hadamard")
         eve = _stage_eve(1)
         ctx = ChannelContext(eve=eve)
@@ -321,6 +322,16 @@ class TestEnumerationReuse:
         assert len(enumerations) == 1
         assert all(row.eve_guess_success_rate is not None for row in report.per_trial)
 
+    def test_clean_cli_sessions_enumerate_once(self, enumerations):
+        """Sessions draw from the law on every channel, one without Eve or
+        noise included."""
+        config = cli.parse_arguments(["run", "--family", "quaternion", "--trials", "3",
+                                      "--blocks", "20"])
+        report = cli.run_experiment(config)
+        assert len(enumerations) == 1
+        assert all(row.eve_guess_success_rate is None for row in report.per_trial)
+        assert all(row.bit_error_rate == 0.0 for row in report.per_trial)
+
     def test_alternating_strategies_match_fresh_results(self, enumerations):
         """A, B, A enumerates three times; the twin equals the last A, so it
         reuses that enumeration and adds none."""
@@ -394,6 +405,20 @@ class TestConservationCheck:
         with pytest.raises(RuntimeError,
                            match=r"branch probabilities of secret 0 sum to .*, expected 1"):
             call(get_family("dft"), _stage_eve(1, 2, 3))
+
+    @pytest.mark.parametrize("call", [
+        lambda fam, noise: run_key_session(SessionConfig(family_name="dft", blocks=10,
+                                                         noise=noise, seed=1)),
+        lambda fam, noise: monte_carlo_analysis(fam, ChannelContext(noise=noise),
+                                                basis_state(0, 2), trials=10, seed=1),
+    ], ids=["run_key_session", "monte_carlo_analysis"])
+    def test_routes_without_eve_raise(self, call):
+        """Sessions and Monte Carlo read the law without Eve too.  Only noise
+        branches there: flipping both qubits at 0.1 has weight 0.01, which
+        the lossy enumeration drops."""
+        with pytest.raises(RuntimeError,
+                           match=r"branch probabilities of secret 0 sum to .*, expected 1"):
+            call(get_family("dft"), NoiseModel(0.1))
 
     def test_cli_exact_mode_exits_1(self, capsys):
         status = cli.main(["run", "--mode", "exact", "--eve-stages", "1,2,3", "--family", "dft"])

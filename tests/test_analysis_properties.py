@@ -1,5 +1,7 @@
 """Property tests of exact enumeration: over random commuting families, and
-sampling against it over the inputs the CLI accepts, noise included."""
+over the inputs the CLI accepts, noise included, against sessions and Monte
+Carlo analysis, which draw from its law, and against a per-row simulation,
+which is independent of it."""
 
 import math
 
@@ -25,6 +27,7 @@ from tristage import (
     run_three_stage,
     verify_recovery,
 )
+from test_passes import assert_dense_sample_fits_joint_law
 
 
 def _random_unitary(rng, dim):
@@ -99,8 +102,10 @@ def _within(observed, expected, n):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(cli_inputs())
 def test_sessions_and_monte_carlo_match_exact_rates(cli_input):
-    """A session draws its secret per block and Monte Carlo runs every
-    secret, so both are compared with the exact rates averaged over secrets."""
+    """Sessions and Monte Carlo draw from the joint law; their estimates
+    must agree with the closed-form rates folded from the same enumeration.
+    A session draws its secret per block and Monte Carlo runs every secret,
+    so both are compared with the exact rates averaged over secrets."""
     name, stages, basis, p = cli_input
     family = get_family(name)
     num_qubits = family.dim.bit_length() - 1
@@ -152,3 +157,14 @@ def test_exact_rates_exist_for_every_cli_input(cli_input):
                 for bob in family.members:
                     transcript = run_three_stage(secret, alice, bob, ChannelContext(), rng)
                     assert verify_recovery(transcript), (index, alice.label, bob.label)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_inputs())
+def test_per_row_simulation_matches_joint_law(cli_input):
+    """The joint law that sessions and Monte Carlo draw from gives the
+    frequencies of a per-row simulation that never enumerates."""
+    name, stages, basis, p = cli_input
+    family = get_family(name)
+    eve, noise = _channel(family, stages, basis, p)
+    assert_dense_sample_fits_joint_law(family, ChannelContext(eve=eve, noise=noise), seed=5)

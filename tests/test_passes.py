@@ -1,4 +1,5 @@
-"""The chunked three-pass pipeline: draws, RNG layout, table size and rates."""
+"""The law's joint and the draws from it: one uniform per run, the state
+table, and the joint against a per-row simulation."""
 
 import math
 
@@ -20,7 +21,7 @@ from tristage import (
     run_key_session,
 )
 from tristage.opsets import operator_catalog
-from tristage.protocol import STAGES, _CHUNK, _born_draw, run_passes, sample_passes
+from tristage.protocol import STAGES, _compact, _draw, _law
 
 
 class _Draws:
@@ -37,60 +38,85 @@ class _Draws:
 
 
 def _loop_pick(probs, draw):
-    """Reference rule: the first outcome whose running total exceeds the
-    draw, else the last outcome."""
+    """Reference rule: the first cell whose running total, over the whole,
+    exceeds the draw."""
+    total = sum(probs)
     acc = 0.0
     for k, p in enumerate(probs):
         acc += p
-        if draw < acc:
+        if draw < acc / total:
             return k
-    return len(probs) - 1
+    raise AssertionError(f"draw {draw} is not below 1")
 
 
-def _loop_picks(probs, draws):
-    return np.array([_loop_pick(p, d) for p, d in zip(probs, draws)], dtype=np.int64)
+def _pick(probs, draws):
+    """Per row, the first outcome whose cumulative Born probability exceeds
+    the row's draw, else the last outcome."""
+    below = np.cumsum(probs, axis=1) <= draws[:, None]
+    return np.minimum(below.sum(axis=1), probs.shape[1] - 1)
 
 
-def _dense_sample(family, ctx, secrets, rng):
-    """Per-row reference for `sample_passes`: every row carries its own
-    state vector, and the draws follow the documented layout (members for
-    all rows, then chunk by chunk: per stage Eve's collapse and the noise,
-    then Bob's measurement).
+def _dense_sample(family, ctx, rows, rng):
+    """Per-row reference for the joint law: every row draws its secret and
+    both members uniformly and carries its own state vector through the
+    three passes, drawing Eve's collapses, the per-qubit noise flips and
+    Bob's measurement from ``rng``.
 
-    Returns Bob's outcomes, Eve's record codes and Bob's final Born
-    probabilities per row."""
+    Returns each row's secret, Eve's record code (first intercepted stage
+    most significant) and Bob's outcome."""
     dim, count = family.dim, len(family)
     num_qubits = dim.bit_length() - 1
     mats = np.stack([m.matrix for m in family.members])
-    alice = rng.integers(0, count, size=len(secrets))
-    bob = rng.integers(0, count, size=len(secrets))
+    secrets = rng.integers(0, dim, size=rows)
+    a = mats[rng.integers(0, count, size=rows)]
+    b = mats[rng.integers(0, count, size=rows)]
     eve = ctx.eve
     rotation = np.eye(dim)
     if eve is not None and eve.pre_rotation is not None:
         rotation = eve.pre_rotation.matrix
-    outcomes = np.empty(len(secrets), dtype=np.int64)
-    codes = np.zeros(len(secrets), dtype=np.int64)
-    finals = np.empty((len(secrets), dim))
-    for start in range(0, len(secrets), _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, len(secrets)))
-        a, b = mats[alice[rows]], mats[bob[rows]]
-        psi = a[np.arange(len(rows)), :, secrets[rows]]
-        adjoints = (b, a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1))
-        for stage, op in zip(STAGES, adjoints):
-            if eve is not None and eve.attacks(stage):
-                probs = np.abs(psi @ rotation.T) ** 2
-                seen = _loop_picks(probs, rng.random(len(rows)))
-                psi = rotation.conj()[seen]
-                codes[rows] = codes[rows] * dim + seen
-            if ctx.noise is not None:
-                flipped = rng.random((len(rows), num_qubits)) < ctx.noise.bit_flip_probability
-                for qubit in range(num_qubits):
-                    permuted = psi[:, np.arange(dim) ^ (1 << (num_qubits - 1 - qubit))]
-                    psi = np.where(flipped[:, qubit, None], permuted, psi)
-            psi = np.einsum("ijk,ik->ij", op, psi)
-        finals[rows] = np.abs(psi) ** 2
-        outcomes[rows] = _loop_picks(finals[rows], rng.random(len(rows)))
-    return outcomes, codes, finals
+    codes = np.zeros(rows, dtype=np.int64)
+    psi = a[np.arange(rows), :, secrets]
+    adjoints = (b, a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1))
+    for stage, op in zip(STAGES, adjoints):
+        if eve is not None and eve.attacks(stage):
+            seen = _pick(np.abs(psi @ rotation.T) ** 2, rng.random(rows))
+            psi = rotation.conj()[seen]
+            codes = codes * dim + seen
+        if ctx.noise is not None:
+            flipped = rng.random((rows, num_qubits)) < ctx.noise.bit_flip_probability
+            for qubit in range(num_qubits):
+                permuted = psi[:, np.arange(dim) ^ (1 << (num_qubits - 1 - qubit))]
+                psi = np.where(flipped[:, qubit, None], permuted, psi)
+        psi = np.einsum("ijk,ik->ij", op, psi)
+    return secrets, codes, _pick(np.abs(psi) ** 2, rng.random(rows))
+
+
+#: Standard normal quantile at 1 - 1e-6, for the chi-square bound below.
+_Z = 4.753
+
+
+def assert_dense_sample_fits_joint_law(family, ctx, seed, rows=2**15):
+    """Pearson's chi-square of `_dense_sample`'s (secret, code, outcome)
+    counts against ``rows * law.joint / dim``, over the cells expected at
+    least 5 times with the rest pooled into one cell, stays below its
+    Wilson-Hilferty quantile at 1 - 1e-6."""
+    joint = _law(family, ctx.eve, ctx.noise).joint
+    cells = np.ravel_multi_index(_dense_sample(family, ctx, rows, np.random.default_rng(seed)),
+                                 joint.shape)
+    observed = np.bincount(cells, minlength=joint.size)
+    expected = rows * joint.ravel() / family.dim
+    big = expected >= 5
+    observed_rest, expected_rest = observed[~big].sum(), expected[~big].sum()
+    observed, expected = observed[big], expected[big]
+    if expected_rest > 0:
+        observed = np.append(observed, observed_rest)
+        expected = np.append(expected, expected_rest)
+    else:
+        assert observed_rest == 0, "the simulation reached cells the law rules out"
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    df = len(expected) - 1
+    bound = df * (1 - 2 / (9 * df) + _Z * math.sqrt(2 / (9 * df))) ** 3
+    assert statistic <= bound, (statistic, bound, df)
 
 
 def _eve(*numbers, basis=None, dim=4):
@@ -115,75 +141,57 @@ class TestBornDraw:
         [0.1, 0.2, 0.3, 0.4],
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 0.5, 0.0, 0.5],
+        [0.3, 0.3, 0.3, 0.0],
+        [0.0, 2.0, 0.0, 6.0],
     ])
 
     def test_matches_loop_and_skips_zero_probabilities(self):
-        """Draws at every cumulative total, just above the last one and at
-        random points, through ids that revisit the table rows in a mixed
-        order.  Every row consumes exactly one uniform."""
-        cumulative = np.cumsum(self.PROBS, axis=1)
-        ids, draws = [], []
-        for row, totals in enumerate(cumulative):
-            points = [0.0, *totals, np.nextafter(totals[-1], 2.0)]
-            points += list(np.random.default_rng(row).random(50))
-            ids += [row] * len(points)
-            draws += points
-        order = np.random.default_rng(3).permutation(len(ids))
-        ids, draws = np.array(ids)[order], np.array(draws)[order]
-        stub = _Draws(draws)
-        picked = _born_draw(self.PROBS, ids, stub)
-        assert stub.used == len(ids)
-        np.testing.assert_array_equal(picked, _loop_picks(self.PROBS[ids], draws))
-        below = draws < cumulative[ids, -1]
-        assert (self.PROBS[ids, picked][below] > 0).all()
+        """Draws at zero, at every normalised running total, just below one
+        and at random points, from every row and from the whole table as
+        one law.  Every draw consumes exactly one uniform."""
+        for index, probs in enumerate([*self.PROBS, self.PROBS]):
+            totals = np.cumsum(probs) / probs.sum()
+            draws = [0.0, *totals[totals < 1.0], np.nextafter(1.0, 0.0)]
+            draws += list(np.random.default_rng(index).random(50))
+            stub = _Draws(draws)
+            picked = _draw(probs, len(draws), stub)
+            assert stub.used == len(draws)
+            np.testing.assert_array_equal(
+                picked, [_loop_pick(probs.ravel().tolist(), d) for d in draws])
+            assert (probs.ravel()[picked] > 0).all()
 
-    def test_draw_above_total_picks_last_outcome(self):
-        short = np.array([[0.3, 0.3, 0.3, 0.0]])
+    def test_draw_just_below_one_picks_last_positive_cell(self):
+        short = np.array([[0.3, 0.3], [0.3, 0.0]])
         for draw in (0.9, 0.95, np.nextafter(1.0, 0.0)):
-            assert _born_draw(short, np.array([0]), _Draws([draw]))[0] == 3
+            assert _draw(short, 1, _Draws([draw]))[0] == 2
 
 
 class TestLayout:
     @pytest.mark.parametrize("name, ctx", _CHANNELS)
     def test_sampling_matches_per_row_reference(self, name, ctx):
-        """Two full chunks and a short one: the same outcomes and records
-        as a per-row simulation drawing in the documented order."""
-        family = get_family(name)
-        secrets = np.random.default_rng(1).integers(0, family.dim, size=2 * _CHUNK + 3)
-        outcomes, codes = sample_passes(family, ctx, secrets, np.random.default_rng(2))
-        want_outcomes, want_codes, _ = _dense_sample(
-            family, ctx, secrets, np.random.default_rng(2))
-        np.testing.assert_array_equal(outcomes, want_outcomes)
-        np.testing.assert_array_equal(codes, want_codes)
+        """The joint law gives the (secret, record code, outcome) frequencies
+        of a per-row simulation that never enumerates."""
+        assert_dense_sample_fits_joint_law(get_family(name), ctx, seed=2)
 
-    @pytest.mark.parametrize("blocks", (1, 3, _CHUNK + 37))
-    def test_table_never_outgrows_its_rows(self, blocks):
-        """A clean, noisy controlled-pair channel grows the table fastest.
-        Every final table has no more rows than the rows it serves, and
-        gives each row the state the per-row simulation reaches."""
+    @pytest.mark.parametrize("rows", (1, 3, 8229))
+    def test_table_never_outgrows_its_rows(self, rows):
+        """Each pass multiplies a controlled-pair table by the family size.
+        Compacted, the table never has more rows than the rows it serves,
+        and it still gives each row the state a per-row product reaches."""
         family = get_family("controlled-pair")
-        ctx = ChannelContext(noise=NoiseModel(0.2))
-        secrets = np.random.default_rng(blocks).integers(0, family.dim, size=blocks)
-        rng = np.random.default_rng(4)
-        alice = rng.integers(0, len(family), size=blocks)
-        bob = rng.integers(0, len(family), size=blocks)
-        finals = np.empty((blocks, family.dim))
-
-        def flip(ids, weights):
-            """Sampling rule: two uniforms per row, first qubit most significant."""
-            masks = np.zeros(len(ids), dtype=np.int64)
-            for column in (rng.random((len(ids), 2)) < 0.2).T:
-                masks = masks << 1 | column
-            return slice(None), masks, None
-
-        for rows, final, ids, _, _ in run_passes(
-            family, ctx, secrets, alice, bob, None, flip
-        ):
-            assert len(final) <= len(rows) == len(ids)
-            finals[rows] = final[ids]
-            rng.random(len(rows))  # Bob's draws, as `sample_passes` takes them
-        _, _, want = _dense_sample(family, ctx, secrets, np.random.default_rng(4))
-        np.testing.assert_allclose(finals, want, atol=1e-12)
+        dim, count = family.dim, len(family)
+        members = np.stack([m.matrix for m in family.members])
+        # Table rows are transposed states; column block m of post applies member m.
+        post = members.transpose(2, 0, 1).reshape(dim, -1)
+        rng = np.random.default_rng(rows)
+        table, ids = np.eye(dim, dtype=complex), rng.integers(0, dim, size=rows)
+        states = table[ids]
+        for _ in range(3):
+            member = rng.integers(0, count, size=rows)
+            table, ids = _compact((table @ post).reshape(-1, dim), ids * count + member)
+            states = np.einsum("ijk,ik->ij", members[member], states)
+            assert len(table) <= rows == len(ids)
+            np.testing.assert_allclose(table[ids], states, atol=1e-12)
 
 
 def _session_rates(name, eve, blocks, seed):
@@ -202,9 +210,9 @@ class TestSessionGuessRate:
     def test_equals_replayed_map_guesses(self, name):
         """The session's guess rate equals, exactly, the rate of scoring
         each block's record tuple with `map_guesser` after replaying the
-        session's draws: its secrets, then `sample_passes`."""
+        session's draw: one uniform per block into the joint law."""
         family = get_family(name)
-        blocks = _CHUNK + 5
+        blocks = 8197
         rotated = {2: "H", 4: "DFT4"}[family.dim]
         for stages in ((1,), (2,), (1, 2, 3)):
             for basis in (None, rotated):
@@ -214,9 +222,8 @@ class TestSessionGuessRate:
                     config = SessionConfig(family_name=name, blocks=blocks,
                                            eve_strategy=eve, noise=noise, seed=21)
                     rng = np.random.default_rng(np.random.SeedSequence(entropy=21))
-                    secrets = rng.integers(0, family.dim, size=blocks)
-                    _, codes = sample_passes(
-                        family, ChannelContext(eve=eve, noise=noise), secrets, rng)
+                    joint = _law(family, eve, noise).joint
+                    secrets, codes, _ = np.unravel_index(_draw(joint, blocks, rng), joint.shape)
                     right = sum(guess(_decode(int(code), len(stages), family.dim)) == secret
                                 for code, secret in zip(codes, secrets))
                     observed = run_key_session(config).eve_guess_success_rate
@@ -224,11 +231,11 @@ class TestSessionGuessRate:
 
 
 class TestAcrossChunks:
-    """Runs longer than one chunk reproduce for equal seeds and sit within
-    5 standard errors of the exact rates."""
+    """Long runs reproduce for equal seeds and sit within 5 standard errors
+    of the exact rates."""
 
     def test_sessions(self):
-        blocks = 2 * _CHUNK + 3
+        blocks = 16387
         for name, eve in (("dft", _eve(1, 2, 3, basis="DFT4")), ("hadamard", _eve(2, dim=2))):
             report = _session_rates(name, eve, blocks, seed=12)
             assert report == _session_rates(name, eve, blocks, seed=12)
@@ -242,7 +249,7 @@ class TestAcrossChunks:
                 assert abs(getattr(report, rate) - expected) <= 5 * stderr + 1e-12, (name, rate)
 
     def test_monte_carlo(self):
-        trials = _CHUNK + 1
+        trials = 8193
         family = get_family("controlled-pair")
         eve = _eve(1, 3, basis="DFT4")
         ctx = ChannelContext(eve=eve)
