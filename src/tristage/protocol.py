@@ -159,6 +159,9 @@ def _branches(branch: np.ndarray):
 #: Branch probabilities of each secret must sum to one within this tolerance.
 _CONSERVATION_TOL = 1e-12
 
+#: Likelihoods within this of a record code's maximum tie; the lowest secret wins.
+_TIE_TOL = 1e-12
+
 
 @cache
 def _hamming_table(dim: int) -> np.ndarray:
@@ -197,7 +200,7 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
     equal input row and record code, which share their whole future.
 
     The rows fold into the (record code, secret) likelihood, whose row
-    maximum is the MAP guess (lowest index on ties), into Bob's outcome law
+    maximum is the MAP guess (the lowest index within `_TIE_TOL` of it), into Bob's outcome law
     per secret and into the joint law of record code and outcome.
 
     Raises:
@@ -268,7 +271,7 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
     joint = joint.reshape(dim, code_range, dim)
     joint /= joint.sum(axis=(1, 2), keepdims=True)
     joint.setflags(write=False)  # `_law` hands the same array to every caller
-    guess_by_code = likelihood.argmax(axis=1)
+    guess_by_code = (likelihood >= likelihood.max(axis=1, keepdims=True) - _TIE_TOL).argmax(axis=1)
     # Each rate is part of a secret's mass over the whole, summed alike, so it is in [0, 1].
     hamming, outcome_mass = _hamming_table(dim), outcome_law.sum(axis=1)
     guessed = guess_by_code[:, None] == np.arange(dim)

@@ -21,13 +21,14 @@ from tristage import (
     exact_analysis,
     family_names,
     get_family,
+    map_decision_table,
     monte_carlo_analysis,
     operator_catalog,
     run_key_session,
     run_three_stage,
     verify_recovery,
 )
-from test_passes import assert_dense_sample_fits_joint_law
+from test_passes import assert_dense_sample_fits_joint_law, reference_joint, reference_table
 
 
 def _random_unitary(rng, dim):
@@ -168,3 +169,15 @@ def test_per_row_simulation_matches_joint_law(cli_input):
     family = get_family(name)
     eve, noise = _channel(family, stages, basis, p)
     assert_dense_sample_fits_joint_law(family, ChannelContext(eve=eve, noise=noise), seed=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_inputs().filter(lambda cli_input: cli_input[1]))
+def test_map_table_breaks_ties_as_the_reference(cli_input):
+    """Round-off must not pick the guess: likelihoods within 1e-12 of a
+    code's maximum tie, and the lowest of them wins, as in the reference."""
+    name, stages, basis, p = cli_input
+    family = get_family(name)
+    eve, noise = _channel(family, stages, basis, p)
+    expected = reference_table(reference_joint(family, eve, noise), len(stages))
+    assert map_decision_table(family, eve, noise=noise) == expected

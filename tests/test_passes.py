@@ -91,6 +91,50 @@ def _dense_sample(family, ctx, rows, rng):
     return secrets, codes, _pick(np.abs(psi) ** 2, rng.random(rows))
 
 
+def reference_joint(family, eve, noise):
+    """``joint[s, c, k]``, enumerated one operator pair at a time with every
+    branch kept: the rows of ``psi`` are the branches of every secret, each
+    collapse of Eve's branches them into her outcomes and each noisy pass
+    into every flip pattern (first qubit most significant)."""
+    dim, count = family.dim, len(family)
+    rotation = np.eye(dim)
+    if eve is not None and eve.pre_rotation is not None:
+        rotation = eve.pre_rotation.matrix
+    hits = [eve is not None and eve.attacks(stage) for stage in STAGES]
+    patterns = np.arange(dim)
+    flips = np.array([bin(m).count("1") for m in patterns])
+    p = noise.bit_flip_probability if noise is not None else 0.0
+    pattern_weight = p**flips * (1.0 - p) ** (dim.bit_length() - 1 - flips)
+    joint = np.zeros((dim, dim ** sum(hits), dim))
+    for ua in (m.matrix for m in family.members):
+        for ub in (m.matrix for m in family.members):
+            secret, code = np.arange(dim), np.zeros(dim, dtype=np.int64)
+            weight = np.full(dim, 1.0 / count**2)
+            psi = ua.T  # row s is U_a |s>
+            for hit, post in zip(hits, (ub, ua.conj().T, ub.conj().T)):
+                if hit:
+                    weight = (weight[:, None] * np.abs(psi @ rotation.T) ** 2).ravel()
+                    code = (code[:, None] * dim + patterns).ravel()
+                    psi = np.tile(rotation.conj(), (secret.size, 1))
+                    secret = np.repeat(secret, dim)
+                if noise is not None:
+                    weight = (weight[:, None] * pattern_weight).ravel()
+                    psi = psi[:, patterns[None, :] ^ patterns[:, None]].reshape(-1, dim)
+                    code, secret = np.repeat(code, dim), np.repeat(secret, dim)
+                psi = psi @ post.T
+            np.add.at(joint, (secret, code), weight[:, None] * np.abs(psi) ** 2)
+    return joint
+
+
+def reference_table(joint, stage_count):
+    """The MAP table of `reference_joint`: every record tuple of positive
+    likelihood maps to the lowest secret within 1e-12 of its maximum."""
+    likelihood = joint.sum(axis=2)
+    tied = likelihood >= likelihood.max(axis=0) - 1e-12
+    return {_decode(int(c), stage_count, len(joint)): int(tied[:, c].argmax())
+            for c in np.flatnonzero(likelihood.any(axis=0))}
+
+
 #: Standard normal quantile at 1 - 1e-6, for the chi-square bound below.
 _Z = 4.753
 
