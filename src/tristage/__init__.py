@@ -55,11 +55,9 @@ from .qcore import (
     adjoint,
     apply,
     basis_state,
-    compose,
     equal_up_to_global_phase,
     is_basis_state,
     measure,
-    measure_qubit,
     outcome_distribution,
     proportional_phase,
     tensor,
@@ -94,7 +92,6 @@ __all__ = [
     "basis_preserving",
     "basis_state",
     "commutation_phase",
-    "compose",
     "controlled_pair_family",
     "detection_probability",
     "dft_family",
@@ -107,7 +104,6 @@ __all__ = [
     "map_decision_table",
     "map_guesser",
     "measure",
-    "measure_qubit",
     "monte_carlo_analysis",
     "operator_catalog",
     "outcome_distribution",

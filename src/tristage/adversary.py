@@ -83,10 +83,6 @@ class ChannelContext:
     eve: EveStrategy | None = None
     noise: NoiseModel | None = None
 
-    @property
-    def clean(self) -> bool:
-        return self.eve is None and self.noise is None
-
 
 def transmit(
     stage: StageLabel,

@@ -1,12 +1,14 @@
 """Exact and sampled statistics for eavesdropped protocol runs.
 
-Both routes read the exact law `protocol._law`, which enumerates every
-operator pair, basis secret, eavesdropper measurement branch and noise flip
-pattern with its exact weight.  `exact_analysis` reads its closed-form
-rates; `monte_carlo_analysis` draws each trial's record code and Bob's
-outcome from its joint law, one uniform per trial, and estimates the same
-rates from the draws.  Tests check the law against independent per-run
-simulations: `protocol.run_three_stage` and a per-row numpy reference.
+Both routes read the exact law `protocol._law`, which chains, for every
+operator pair and basis secret, the transfer matrices between Eve's
+measurements, noise included, into the exact probability of every record
+code and outcome.  `exact_analysis` reads its closed-form rates;
+`monte_carlo_analysis` draws each trial's record code and Bob's outcome
+from its joint law, one uniform per trial, and estimates the same rates
+from the draws.  Tests check the law against an unpruned per-pair branch
+enumeration and against independent per-run simulations:
+`protocol.run_three_stage` and a per-row numpy reference.
 
 One enumeration covers every basis secret at once, and the law keeps the
 last one: calls whose channel (family, Eve and noise) equals that of the
@@ -17,8 +19,8 @@ enumeration checks that each secret's branch probabilities sum to one.
 
 The eavesdropper's guess is maximum-a-posteriori on the channel as
 configured, noise included: from the exact joint law of (secret, records),
-each observable record tuple maps to the most likely secret index (lowest
-index on ties).
+each record tuple of positive probability maps to the most likely secret
+index, the lowest of those within 1e-12 of the maximum.
 
 Rates reported:
 
@@ -48,8 +50,10 @@ from .qcore import StateVector, is_basis_state
 class ExactAnalysis:
     """Closed-form rates for one (family, strategy, secret) scenario.
 
-    The guess rate is None on a channel without Eve.  A CLI report averages
-    the rates over the basis secrets and sums the branch counts.
+    The guess rate is None on a channel without Eve.  ``branch_count`` is
+    the number of (operator pair, record code) paths of the secret above
+    probability 1e-15; noise does not branch.  A CLI report averages the
+    rates over the basis secrets and sums the branch counts.
     """
 
     bit_error_rate: float
@@ -82,11 +86,13 @@ def _secret_index(family: OperatorFamily, secret: StateVector) -> int:
 
 def map_decision_table(family: OperatorFamily, eve: EveStrategy, *,
                        noise: NoiseModel | None = None) -> dict:
-    """MAP guess per observable record tuple, from the exact joint law of
-    the channel with Eve and ``noise``, the bit-flip noise after her.
+    """MAP guess per record tuple of positive probability, from the exact
+    joint law of the channel with Eve and ``noise``, the bit-flip noise
+    after her.
 
-    Built by enumerating every basis secret with uniform prior; ties break
-    toward the lowest secret index, making the table deterministic.
+    Every basis secret has uniform prior.  Likelihoods within 1e-12 of a
+    record's maximum tie, and the lowest tied secret index is the guess, so
+    round-off never picks it and the table is deterministic.
 
     Raises:
         ValueError: If ``eve`` is None.
@@ -110,11 +116,11 @@ def map_guesser(family: OperatorFamily, eve: EveStrategy, *,
 
 def exact_analysis(family: OperatorFamily, eve: EveStrategy | None, secret: StateVector, *,
                    noise: NoiseModel | None = None) -> ExactAnalysis:
-    """Compute disturbance and leakage rates by exhaustive enumeration.
+    """Compute disturbance and leakage rates from the exact law of the channel.
 
-    Enumerates all operator pairs with uniform weights and, inside each, the
-    full tree of eavesdropper collapse outcomes and noise flip patterns with
-    exact probabilities.
+    Averages all operator pairs with uniform weights and, inside each,
+    chains the transfer matrices between Eve's collapses, with the noise as
+    a linear map on the density matrix, into exact probabilities.
 
     Args:
         secret: A computational basis state of the family's dimension.

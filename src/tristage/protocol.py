@@ -8,21 +8,23 @@ the secret up to that phase, so Bob's computational measurement reads the
 secret bits exactly on a clean channel.
 
 `run_three_stage` executes one run on state objects and keeps its
-transcript.  `_enumerate` runs the same passes on every operator pair and
-basis secret at once and expands every branch of the random events, Eve's
-collapses and the noise flips, with its exact weight.  A row is an integer
-id into a small table of the distinct states the rows can reach, so the
-operators, Eve's re-preparation and the noise flips act on the table, never
-row by row.
+transcript.  `_enumerate` runs the same passes on density matrices, for
+every operator pair and basis secret at once.  Eve's intercept-resend
+measures and re-prepares, so for each operator pair a run is a Markov chain
+through her outcomes: each stretch between two measurements is a
+``dim x dim`` stochastic matrix, and the bit-flip noise is a fixed linear
+map inside it that does not branch.
 
 Eve's record of a run is an integer code, her outcomes in base ``dim``,
-first intercepted stage most significant.  `_enumerate` folds its branches
-into the exact law of a channel (family, Eve and noise): her MAP guess for
-every code, the codes that occur, every basis secret's exact rates and the
-joint law of (record code, Bob's outcome) per secret.  `_law` keeps the law
-of the last channel, compared by value.  Key sessions and Monte Carlo
-analysis draw their runs from the joint law with `_draw`, one uniform per
-run, and score Eve by its ``guess_by_code``.
+first intercepted stage most significant.  `_enumerate` multiplies the
+matrices along every record code into the exact law of a channel (family,
+Eve and noise): her MAP guess for every code, the codes that occur, every
+basis secret's exact rates and the joint law of (record code, Bob's
+outcome) per secret.  Nothing is pruned, so every event of positive
+probability can be drawn.  `_law` keeps the law of the last channel,
+compared by value.  Key sessions and Monte Carlo analysis draw their runs
+from the joint law with `_draw`, one uniform per run, and score Eve by its
+``guess_by_code``.
 """
 
 from __future__ import annotations
@@ -138,29 +140,14 @@ def verify_recovery(transcript: Transcript, tol: float = DEFAULT_TOL) -> bool:
     return equal_up_to_global_phase(transcript.recovered, transcript.secret, tol)
 
 
-def _compact(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep only the table rows some row refers to, once the table outgrows the rows."""
-    if len(table) > len(ids):
-        kept, ids = np.unique(ids, return_inverse=True)
-        table = table[kept]
-    return table, ids
-
-
-#: Branches below this probability are dropped from the enumeration.
-_PRUNE = 1e-15
-
-
-def _branches(branch: np.ndarray):
-    """Every (row, outcome) of ``branch`` above `_PRUNE`, with its weight."""
-    take, outcomes = np.nonzero(branch > _PRUNE)
-    return take, outcomes, branch[take, outcomes]
-
-
 #: Branch probabilities of each secret must sum to one within this tolerance.
 _CONSERVATION_TOL = 1e-12
 
 #: Likelihoods within this of a record code's maximum tie; the lowest secret wins.
 _TIE_TOL = 1e-12
+
+#: Paths above this probability count as branches.
+_BRANCH_FLOOR = 1e-15
 
 
 @cache
@@ -168,14 +155,39 @@ def _hamming_table(dim: int) -> np.ndarray:
     return np.array([[(i ^ j).bit_count() for j in range(dim)] for i in range(dim)])
 
 
+def _superops(u: np.ndarray) -> np.ndarray:
+    """``kron(U, conj(U))`` for each U of a stack: vec(ρ) -> vec(U ρ U†) on row-major vec."""
+    count, dim = u.shape[0], u.shape[-1]
+    return np.einsum("nij,nkl->nikjl", u, u.conj()).reshape(count, dim * dim, dim * dim)
+
+
+@lru_cache(maxsize=8)
+def _member_superops(family: OperatorFamily) -> np.ndarray:
+    """Each member's superoperator, compared by value."""
+    ops = _superops(np.stack([m.matrix for m in family.members]))
+    ops.setflags(write=False)
+    return ops
+
+
+@lru_cache(maxsize=16)
+def _frame(rotation: UnitaryOperator | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's measurement rows, vec(ρ) -> P(outcome k), and her re-prepared
+    columns vec(R†|k><k|R), in the basis of ``rotation``, compared by value."""
+    r = rotation.matrix if rotation is not None else np.eye(dim)
+    rows = _superops(r[None])[0, :: dim + 1]
+    rows.setflags(write=False)
+    return rows, rows.conj().T
+
+
 class _Law(NamedTuple):
     """The exact law of one channel, over every basis secret.
 
     ``guess_by_code`` holds Eve's MAP guess for every record code, ``codes``
-    the codes that occur (only 0 without Eve), ``rates[s]`` basis secret
-    s's bit error rate, detection-relevant disturbance, Eve's guess success
-    rate (None without Eve) and branch count, and ``joint[s, c, k]`` the
-    probability of record code c and Bob's outcome k given secret s.
+    the codes of positive likelihood (only 0 without Eve), ``rates[s]``
+    basis secret s's bit error rate, detection-relevant disturbance, Eve's
+    guess success rate (None without Eve) and branch count, and
+    ``joint[s, c, k]`` the probability of record code c and Bob's outcome k
+    given secret s.
     """
 
     guess_by_code: np.ndarray
@@ -185,23 +197,24 @@ class _Law(NamedTuple):
 
 
 def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseModel | None) -> _Law:
-    """Run the three passes on every (Alice, Bob, basis secret) row, with exact weights.
+    """The exact law of a channel, as a chain of transfer matrices per operator pair.
 
-    Each row starts with weight 1/count^2 and holds only an integer id into
-    a table of the distinct states the rows can reach: operators, Eve's
-    re-preparation and noise flips act on the table, and per row the
-    passes only move ids and weights.  At each stage Eve intercepts, a row
-    branches into her outcomes, weighted by their Born probabilities in her
-    basis, and carries on from her re-prepared state; her outcomes
-    accumulate into a record code.  On a noisy channel a row then branches
-    into every flip mask (first qubit most significant), weighted p^k
-    (1-p)^(q-k) for a flip of k of q qubits.  Branches below `_PRUNE` are
-    dropped.  Once a flip has come, each collapse merges the rows with
-    equal input row and record code, which share their whole future.
+    A state is its density matrix as a row-major vector, and each operator
+    U acts on it as ``kron(U, conj(U))``.  Eve measures and re-prepares, so
+    she cuts every run into segments: a segment carries its input, the
+    secret or her last outcome, through the operators and the noise to her
+    next outcome, or to Bob's at the end, as a ``dim x dim`` stochastic
+    matrix per (Alice, Bob) pair.  Noise is one linear map, the flip of
+    every mask weighted p^k (1-p)^(q-k) for k of q qubits, so it does not
+    branch.  A record code's path is the product of Eve's segments along
+    it, and the joint law sums each path times Bob's segment over the
+    pairs, each of weight 1/count^2.  Nothing is pruned; each segment is
+    clipped at 0 against round-off.
 
-    The rows fold into the (record code, secret) likelihood, whose row
-    maximum is the MAP guess (the lowest index within `_TIE_TOL` of it), into Bob's outcome law
-    per secret and into the joint law of record code and outcome.
+    The joint folds into the (record code, secret) likelihood, whose
+    lowest index within `_TIE_TOL` of the maximum is the MAP guess, and
+    into Bob's outcome law per secret.  A secret's branch count is its
+    (pair, record code) paths above `_BRANCH_FLOOR`.
 
     Raises:
         ValueError: If Eve's pre-rotation does not match the family dimension.
@@ -212,66 +225,40 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
     rotation = eve.pre_rotation if eve is not None else None
     if rotation is not None and rotation.dim != dim:
         raise ValueError(f"pre-rotation dim {rotation.dim} does not match family dim {dim}")
-    # Table rows are transposed states: applying U maps row -> row @ U.T.  Eve
-    # reads row @ R.T and forwards row k of conj(R), the transposed R†|k>.
-    measure_t = rotation.matrix.T if rotation is not None else None
-    reprep = rotation.matrix.conj() if rotation is not None else np.eye(dim, dtype=complex)
-    attacked = [eve is not None and eve.attacks(stage) for stage in STAGES]
-    code_range = dim ** sum(attacked)
-    members = np.stack([m.matrix for m in family.members])
-    # Stage k's member m maps table row t to row t*count + m of
-    # (table @ post).reshape(-1, dim): Bob's B, Alice's A†, Bob's B†.
-    posts = [
-        np.ascontiguousarray(post.transpose(1, 0, 2).reshape(dim, -1))
-        for post in (members.transpose(0, 2, 1), members.conj(), members.conj())
-    ]
-    # flips[m] permutes a row's entries as flipping the qubits set in mask m.
-    flips = np.arange(dim) ^ np.arange(dim)[:, None]
+    measure_rows, reprepared = _frame(rotation, dim)
+    forward = _member_superops(family)
+    inverse = forward.conj().swapaxes(1, 2)
     if noise is not None:
         p, k = noise.bit_flip_probability, _hamming_table(dim)[0]
-        flip_law = p**k * (1.0 - p) ** (dim.bit_length() - 1 - k)
-    alice_idx, bob_idx, secrets = np.indices((count, count, dim)).reshape(3, -1)
-    rows, weights = np.arange(secrets.size), np.full(secrets.size, 1.0 / count**2)
-    codes = np.zeros(secrets.size, dtype=np.int64)
-    table, ids = _compact(members.transpose(0, 2, 1).reshape(-1, dim), alice_idx * dim + secrets)
-    for stage, (hit, post, member_idx) in enumerate(
-        zip(attacked, posts, (bob_idx, alice_idx, bob_idx))
-    ):
-        if hit:
-            amps = table @ measure_t if measure_t is not None else table
-            take, outcomes, weights = _branches(weights[:, None] * (np.abs(amps) ** 2)[ids])
-            rows, codes = rows[take], codes[take] * dim + outcomes
-            if noise is not None and stage > 0:
-                keys, merged = np.unique(rows * code_range + codes, return_inverse=True)
-                weights = np.bincount(merged, weights=weights)
-                rows, codes = np.divmod(keys, code_range)
-                outcomes = codes % dim
-            table, ids = _compact(reprep, outcomes)
+        flips = np.eye(dim)[np.arange(dim) ^ np.arange(dim)[:, None]]
+        noise_op = np.einsum("m,mij,mkl->ikjl", p**k * (1.0 - p) ** (dim.bit_length() - 1 - k),
+                             flips, flips).reshape(dim * dim, dim * dim)
+    # Axes (Alice, Bob, vec(ρ), input); Alice's A|s><s|A† is column s*(dim+1).
+    state, segments = forward[:, None, :, :: dim + 1], []
+    for stage, post in zip(STAGES, (forward[None], inverse[:, None], inverse[None])):
+        if eve is not None and eve.attacks(stage):
+            segments.append(np.maximum((measure_rows @ state).real, 0.0))
+            state = reprepared
         if noise is not None:
-            take, masks, weights = _branches(weights[:, None] * flip_law)
-            rows, codes, ids = rows[take], codes[take], ids[take]
-            if masks.any():
-                ids = masks * len(table) + ids
-                table, ids = _compact(table[:, flips].swapaxes(0, 1).reshape(-1, dim), ids)
-        ids = ids * count + member_idx[rows]
-        table, ids = _compact((table @ post).reshape(-1, dim), ids)
-    final, secrets = np.abs(table) ** 2, secrets[rows]
-    likelihood = np.bincount(codes * dim + secrets, weights=weights,
-                             minlength=code_range * dim).reshape(-1, dim)
+            state = noise_op @ state
+        state = post @ state
+    final = np.maximum(state[..., :: dim + 1, :].real, 0.0)
+    # paths[a, b, s, k1, ..., km]: the pair's probability of Eve's outcomes k1..km.
+    paths = np.ones((count, count, dim))
+    for segment in segments:
+        paths = np.einsum("ab...i,aboi->ab...io", paths, segment)
+    joint = np.einsum("ab...i,abki->...ik", paths, final).reshape(dim, -1, dim) / count**2
+    likelihood = np.ascontiguousarray(joint.sum(axis=2).T)
     total = likelihood.sum(axis=0)
     for index, mass in enumerate(total.tolist()):
         if abs(mass - 1.0) > _CONSERVATION_TOL:
             raise RuntimeError(
                 f"branch probabilities of secret {index} sum to {mass!r}, expected 1")
-    # Row s: each outcome's probability given secret s.
-    outcome_law = np.bincount(secrets * len(final) + ids, weights=weights,
-                              minlength=dim * len(final)).reshape(dim, -1) @ final
-    joint = np.bincount((secrets * code_range + codes) * len(final) + ids, weights=weights,
-                        minlength=dim * code_range * len(final)).reshape(-1, len(final)) @ final
-    joint = joint.reshape(dim, code_range, dim)
+    outcome_law = joint.sum(axis=1)  # row s: each outcome's probability given secret s
     joint /= joint.sum(axis=(1, 2), keepdims=True)
     joint.setflags(write=False)  # `_law` hands the same array to every caller
     guess_by_code = (likelihood >= likelihood.max(axis=1, keepdims=True) - _TIE_TOL).argmax(axis=1)
+    branches = (paths > _BRANCH_FLOOR * count**2).reshape(count * count, dim, -1)
     # Each rate is part of a secret's mass over the whole, summed alike, so it is in [0, 1].
     hamming, outcome_mass = _hamming_table(dim), outcome_law.sum(axis=1)
     guessed = guess_by_code[:, None] == np.arange(dim)
@@ -279,7 +266,7 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
         ((outcome_law * hamming).sum(axis=1) / (dim.bit_length() - 1) / outcome_mass).tolist(),
         ((outcome_law * (hamming > 0)).sum(axis=1) / outcome_mass).tolist(),
         ((likelihood * guessed).sum(axis=0) / total).tolist() if eve else [None] * dim,
-        np.bincount(secrets, minlength=dim).tolist(),
+        np.count_nonzero(branches, axis=(0, 2)).tolist(),
     )
     return _Law(guess_by_code, np.flatnonzero(likelihood.any(axis=1)), tuple(rates), joint)
 

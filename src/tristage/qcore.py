@@ -19,8 +19,8 @@ stochastic operation is reproducible from a seed.
 
 Values are checked once, where they enter.  `basis_state` and
 `Outcome.from_index` check their arguments, not their exact 0/1 results, and
-`adjoint` checks each distinct operator once, then caches by value.  `apply`,
-`compose` and `tensor` check every product: factors within 1e-9 can drift.
+`adjoint` checks each distinct operator once, then caches by value.  `apply`
+and `tensor` check every product: factors within 1e-9 can drift.
 """
 
 from __future__ import annotations
@@ -238,13 +238,6 @@ def apply(u: UnitaryOperator, psi: StateVector) -> StateVector:
     return StateVector(num_qubits=psi.num_qubits, amplitudes=u.matrix @ psi.amplitudes)
 
 
-def compose(u: UnitaryOperator, v: UnitaryOperator) -> UnitaryOperator:
-    """Return the matrix product ``U @ V`` (apply ``V`` first, then ``U``)."""
-    if u.dim != v.dim:
-        raise ValueError(f"operator dims differ: {u.dim} vs {v.dim}")
-    return UnitaryOperator(matrix=u.matrix @ v.matrix, label=f"{u.label}·{v.label}")
-
-
 @lru_cache(maxsize=64)
 def adjoint(u: UnitaryOperator) -> UnitaryOperator:
     """Return the conjugate transpose ``U†``, cached by operator value."""
@@ -280,37 +273,6 @@ def measure(psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateV
     cumulative = np.cumsum(outcome_distribution(psi))
     index = min(int(np.searchsorted(cumulative, rng.random(), side="right")), psi.dim - 1)
     return Outcome.from_index(index, psi.num_qubits), basis_state(index, psi.num_qubits)
-
-
-def measure_qubit(
-    psi: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Measure a single qubit of a (possibly two-qubit) state.
-
-    The bit is sampled from the marginal Born probabilities; the returned
-    state is the renormalized conditional state on the unmeasured qubits,
-    with the measured qubit collapsed.
-
-    Args:
-        psi: State to measure.
-        qubit: Qubit position, 0 = most significant.
-        rng: Seeded random generator; consumes exactly one uniform draw.
-
-    Returns:
-        The measured bit and the collapsed, renormalized state.
-    """
-    if not 0 <= qubit < psi.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {psi.num_qubits} qubit(s)")
-    shift = psi.num_qubits - 1 - qubit
-    indices = np.arange(psi.dim)
-    bit_values = (indices >> shift) & 1
-    probs = outcome_distribution(psi)
-    p_one = float(probs[bit_values == 1].sum())
-    bit = 1 if rng.random() < p_one else 0
-    keep = bit_values == bit
-    collapsed = np.where(keep, psi.amplitudes, 0.0)
-    norm = np.sqrt(float(np.sum(np.abs(collapsed) ** 2)))
-    return bit, StateVector(num_qubits=psi.num_qubits, amplitudes=collapsed / norm)
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:

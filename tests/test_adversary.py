@@ -57,10 +57,6 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             NoiseModel(bit_flip_probability=-0.1)
 
-    def test_clean_flag(self):
-        assert ChannelContext().clean
-        assert not ChannelContext(noise=NoiseModel(0.1)).clean
-
 
 class TestTransmit:
     def test_clean_channel_delivers_unchanged(self):

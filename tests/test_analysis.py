@@ -26,7 +26,8 @@ from tristage import (
     run_key_session,
     run_three_stage,
 )
-from tristage import cli, protocol
+from tristage import cli, opsets, protocol
+from tristage.qcore import _trusted
 
 STAGE_1 = StageLabel.ALICE_TO_BOB_1
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -384,11 +385,16 @@ class TestEnumerationReuse:
 class TestConservationCheck:
     """Every enumeration checks that each secret's branch probabilities sum
     to one, so a broken enumeration stops every route that reads the law.
-    Pruning at 0.05 drops real branches and breaks conservation."""
+    The ``dft`` catalog entry is patched to a family whose DFT4 is scaled
+    by 0.9, built past the unitarity check: every run through it loses
+    mass, which breaks conservation."""
 
     @pytest.fixture(autouse=True)
-    def lossy_enumeration(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_PRUNE", 0.05)
+    def lossy_family(self, monkeypatch):
+        dft = get_family("dft")
+        shrunk = _trusted(UnitaryOperator, matrix=0.9 * dft.member("DFT4").matrix, label="DFT4")
+        lossy = OperatorFamily("dft", (dft.member("I4"), shrunk))
+        monkeypatch.setitem(opsets._FAMILY_BUILDERS, "dft", lambda: lossy)
         protocol._law.cache_clear()
         yield
         protocol._law.cache_clear()
@@ -413,9 +419,8 @@ class TestConservationCheck:
                                                 basis_state(0, 2), trials=10, seed=1),
     ], ids=["run_key_session", "monte_carlo_analysis"])
     def test_routes_without_eve_raise(self, call):
-        """Sessions and Monte Carlo read the law without Eve too.  Only noise
-        branches there: flipping both qubits at 0.1 has weight 0.01, which
-        the lossy enumeration drops."""
+        """Sessions and Monte Carlo read the law without Eve too, here on a
+        noisy channel."""
         with pytest.raises(RuntimeError,
                            match=r"branch probabilities of secret 0 sum to .*, expected 1"):
             call(get_family("dft"), NoiseModel(0.1))

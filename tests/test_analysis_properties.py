@@ -6,7 +6,7 @@ which is independent of it."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tristage import (
@@ -28,6 +28,7 @@ from tristage import (
     run_three_stage,
     verify_recovery,
 )
+from tristage.protocol import _law
 from test_passes import assert_dense_sample_fits_joint_law, reference_joint, reference_table
 
 
@@ -181,3 +182,21 @@ def test_map_table_breaks_ties_as_the_reference(cli_input):
     eve, noise = _channel(family, stages, basis, p)
     expected = reference_table(reference_joint(family, eve, noise), len(stages))
     assert map_decision_table(family, eve, noise=noise) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cli_inputs(noise_levels=(0.0, 1e-12, 1e-7, 0.02, 0.1, 0.3)))
+@example(("quaternion", {1, 2, 3}, "DFT4", 1e-7))
+@example(("dft", {1, 3}, None, 1e-12))
+def test_law_matches_unpruned_reference(cli_input):
+    """The law is the reference's joint within 1e-12, no cell is negative,
+    and its record codes are the reference's codes of positive likelihood,
+    however small: every event that can happen can be drawn."""
+    name, stages, basis, p = cli_input
+    family = get_family(name)
+    eve, noise = _channel(family, stages, basis, p)
+    law = _law(family, eve, noise)
+    expected = reference_joint(family, eve, noise)
+    np.testing.assert_allclose(law.joint, expected, rtol=0, atol=1e-12)
+    assert law.joint.min() >= 0.0
+    np.testing.assert_array_equal(law.codes, np.flatnonzero(expected.sum(axis=(0, 2)) > 0))

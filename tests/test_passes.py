@@ -1,5 +1,6 @@
-"""The law's joint and the draws from it: one uniform per run, the state
-table, and the joint against a per-row simulation."""
+"""The law's joint and the draws from it: one uniform per run, an unpruned
+per-pair reference for the joint, and the joint against a per-row
+simulation."""
 
 import math
 
@@ -21,7 +22,7 @@ from tristage import (
     run_key_session,
 )
 from tristage.opsets import operator_catalog
-from tristage.protocol import STAGES, _compact, _draw, _law
+from tristage.protocol import STAGES, _draw, _law
 
 
 class _Draws:
@@ -216,26 +217,6 @@ class TestLayout:
         """The joint law gives the (secret, record code, outcome) frequencies
         of a per-row simulation that never enumerates."""
         assert_dense_sample_fits_joint_law(get_family(name), ctx, seed=2)
-
-    @pytest.mark.parametrize("rows", (1, 3, 8229))
-    def test_table_never_outgrows_its_rows(self, rows):
-        """Each pass multiplies a controlled-pair table by the family size.
-        Compacted, the table never has more rows than the rows it serves,
-        and it still gives each row the state a per-row product reaches."""
-        family = get_family("controlled-pair")
-        dim, count = family.dim, len(family)
-        members = np.stack([m.matrix for m in family.members])
-        # Table rows are transposed states; column block m of post applies member m.
-        post = members.transpose(2, 0, 1).reshape(dim, -1)
-        rng = np.random.default_rng(rows)
-        table, ids = np.eye(dim, dtype=complex), rng.integers(0, dim, size=rows)
-        states = table[ids]
-        for _ in range(3):
-            member = rng.integers(0, count, size=rows)
-            table, ids = _compact((table @ post).reshape(-1, dim), ids * count + member)
-            states = np.einsum("ijk,ik->ij", members[member], states)
-            assert len(table) <= rows == len(ids)
-            np.testing.assert_allclose(table[ids], states, atol=1e-12)
 
 
 def _session_rates(name, eve, blocks, seed):

@@ -16,7 +16,6 @@ from tristage import (
     apply,
     basis_state,
     commutation_phase,
-    compose,
     equal_up_to_global_phase,
     exact_analysis,
     family_names,
@@ -152,12 +151,10 @@ class TestRecoveryProperties:
             for alice_op in fam.members:
                 for bob_op in fam.members:
                     c = commutation_phase(alice_op, bob_op)
-                    chain = compose(
-                        adjoint(bob_op),
-                        compose(adjoint(alice_op), compose(bob_op, alice_op)),
-                    )
+                    chain = (adjoint(bob_op).matrix @ adjoint(alice_op).matrix
+                             @ bob_op.matrix @ alice_op.matrix)
                     np.testing.assert_allclose(
-                        chain.matrix,
+                        chain,
                         np.conj(c) * identity,
                         atol=1e-9,
                         err_msg=f"{name}: {alice_op.label},{bob_op.label}",

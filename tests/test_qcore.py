@@ -13,13 +13,11 @@ from tristage import (
     adjoint,
     apply,
     basis_state,
-    compose,
     dft_family,
     equal_up_to_global_phase,
     hadamard_family,
     is_basis_state,
     measure,
-    measure_qubit,
     outcome_distribution,
     pauli_family,
     proportional_phase,
@@ -209,18 +207,6 @@ class TestOperatorAlgebra:
         x = pauli_family().member("X")
         assert apply(x, basis_state(0, 1)) == basis_state(1, 1)
 
-    def test_compose_applies_right_factor_first(self):
-        """X·Z as a matrix product."""
-        x = pauli_family().member("X")
-        z = pauli_family().member("Z")
-        np.testing.assert_allclose(
-            compose(x, z).matrix, [[0, -1], [1, 0]], atol=1e-15
-        )
-
-    def test_compose_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compose(pauli_family().member("X"), dft_family().member("DFT4"))
-
     def test_adjoint_conjugates_and_transposes(self):
         """The Fourier member's (1,1) entry i/2 conjugates to -i/2."""
         f = dft_family().member("DFT4")
@@ -246,7 +232,7 @@ class TestOperatorAlgebra:
     def test_adjoint_inverts(self):
         f = dft_family().member("DFT4")
         np.testing.assert_allclose(
-            compose(adjoint(f), f).matrix, np.eye(4), atol=1e-12
+            adjoint(f).matrix @ f.matrix, np.eye(4), atol=1e-12
         )
 
     def test_tensor_matches_kron(self):
@@ -325,25 +311,6 @@ class TestMeasurement:
             measure(psi, rng)
             twin.random()
         assert rng.random() == twin.random()
-
-    def test_measure_qubit_on_correlated_state(self):
-        """Measuring qubit 0 of (|00>+|11>)/sqrt(2) collapses both qubits."""
-        psi = StateVector(2, np.array([INV_SQRT2, 0.0, 0.0, INV_SQRT2]))
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            bit, collapsed = measure_qubit(psi, 0, rng)
-            assert collapsed == basis_state(3 if bit else 0, 2)
-
-    def test_measure_qubit_marginal(self):
-        """Qubit 1 of |10> always reads 0 and leaves the state unchanged."""
-        psi = basis_state(2, 2)
-        bit, collapsed = measure_qubit(psi, 1, np.random.default_rng(0))
-        assert bit == 0
-        assert collapsed == psi
-
-    def test_measure_qubit_range_check(self):
-        with pytest.raises(ValueError):
-            measure_qubit(basis_state(0, 1), 1, np.random.default_rng(0))
 
 
 class TestGlobalPhaseEquality:
