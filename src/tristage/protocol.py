@@ -248,6 +248,7 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
     for segment in segments:
         paths = np.einsum("ab...i,aboi->ab...io", paths, segment)
     joint = np.einsum("ab...i,abki->...ik", paths, final).reshape(dim, -1, dim) / count**2
+    # Contiguous, so that the whole and each part below are summed in one order.
     likelihood = np.ascontiguousarray(joint.sum(axis=2).T)
     total = likelihood.sum(axis=0)
     for index, mass in enumerate(total.tolist()):

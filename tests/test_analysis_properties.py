@@ -1,7 +1,7 @@
 """Property tests of exact enumeration: over random commuting families, and
 over the inputs the CLI accepts, noise included, against sessions and Monte
-Carlo analysis, which draw from its law, and against a per-row simulation,
-which is independent of it."""
+Carlo analysis, which draw from its law, and against two routes independent
+of it, a per-row simulation and an unpruned per-pair branch enumeration."""
 
 import math
 
