@@ -42,6 +42,7 @@ from .qcore import (
     Outcome,
     StateVector,
     UnitaryOperator,
+    _check_count,
     adjoint,
     apply,
     equal_up_to_global_phase,
@@ -297,6 +298,8 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_count("blocks", self.blocks)
+        _check_count("seed", self.seed)
         if self.blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {self.blocks}")
         if self.seed < 0:

@@ -20,13 +20,15 @@ stochastic operation is reproducible from a seed.
 Values are checked once, where they enter.  `basis_state` and
 `Outcome.from_index` check their arguments, not their exact 0/1 results, and
 `adjoint` checks each distinct operator once, then caches by value.  `apply`
-and `tensor` check every product: factors within 1e-9 can drift.
+and `tensor` check every product: factors within 1e-9 can drift.  A state's
+one norm test also rejects NaN and infinity.  Collapsed outcomes are shared.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -37,12 +39,14 @@ _SUPPORTED_NUM_QUBITS = (1, 2)
 _SUPPORTED_DIMS = (2, 4)
 
 
-def _as_readonly_complex(values, shape_kind: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex, order="C")
+def _check_finite(arr: np.ndarray, shape_kind: str) -> None:
     if not np.all(np.isfinite(arr.view(float))):
         raise ValueError(f"{shape_kind} entries must be finite (no NaN or infinity)")
-    arr.setflags(write=False)
-    return arr
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _trusted(cls, **fields):
@@ -72,14 +76,12 @@ def proportional_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    pivot = np.argmax(np.abs(b))
+    pivot = np.abs(b).argmax()
     pivot_value = b.flat[pivot]
     if abs(pivot_value) <= tol:
         return None
     c = a.flat[pivot] / pivot_value
-    if abs(abs(c) - 1.0) > tol:
-        return None
-    if np.max(np.abs(a - c * b)) > tol:
+    if abs(abs(c) - 1.0) > tol or np.abs(a - c * b).max() > tol:
         return None
     return complex(c)
 
@@ -98,17 +100,18 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_count("num_qubits", self.num_qubits)
         if self.num_qubits not in _SUPPORTED_NUM_QUBITS:
             raise ValueError(f"num_qubits must be 1 or 2, got {self.num_qubits}")
-        arr = _as_readonly_complex(self.amplitudes, "state")
-        if arr.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"state over {self.num_qubits} qubit(s) needs "
-                f"{2**self.num_qubits} amplitudes, got shape {arr.shape}"
-            )
-        norm = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm - 1.0) > DEFAULT_TOL:
+        arr = np.array(self.amplitudes, dtype=complex, order="C")
+        norm = np.vdot(arr, arr).real if arr.ndim == 1 else None
+        if arr.shape != (self.dim,) or not abs(norm - 1.0) <= DEFAULT_TOL:  # NaN fails
+            _check_finite(arr, "state")
+            if arr.shape != (self.dim,):
+                raise ValueError(f"state over {self.num_qubits} qubit(s) needs "
+                                 f"{self.dim} amplitudes, got shape {arr.shape}")
             raise ValueError(f"state norm squared is {norm}, expected 1 within {DEFAULT_TOL}")
+        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
     @property
@@ -139,7 +142,8 @@ class UnitaryOperator:
     label: str = ""
 
     def __post_init__(self):
-        arr = _as_readonly_complex(self.matrix, "operator")
+        arr = np.array(self.matrix, dtype=complex, order="C")
+        _check_finite(arr, "operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"operator must be square, got shape {arr.shape}")
         if arr.shape[0] not in _SUPPORTED_DIMS:
@@ -149,6 +153,7 @@ class UnitaryOperator:
             raise ValueError(
                 f"matrix {self.label!r} is not unitary: max |U†U - I| = {deviation:.3e}"
             )
+        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -189,6 +194,7 @@ class Outcome:
 
     @classmethod
     def from_index(cls, index: int, num_qubits: int) -> "Outcome":
+        _check_count("num_qubits", num_qubits)
         if num_qubits < 1 or not 0 <= index < 2**num_qubits:
             raise ValueError(f"index {index} out of range for {num_qubits} qubit(s)")
         bits = tuple(int((index >> (num_qubits - 1 - q)) & 1) for q in range(num_qubits))
@@ -205,6 +211,7 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
     Raises:
         ValueError: If the index is out of range or num_qubits unsupported.
     """
+    _check_count("num_qubits", num_qubits)
     if num_qubits not in _SUPPORTED_NUM_QUBITS:
         raise ValueError(f"num_qubits must be 1 or 2, got {num_qubits}")
     if not 0 <= index < 2**num_qubits:
@@ -259,8 +266,9 @@ def outcome_distribution(psi: StateVector) -> np.ndarray:
 def measure(psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateVector]:
     """Measure all qubits in the computational basis.
 
-    Samples outcome ``k`` with probability ``|amplitude[k]|**2`` and collapses
-    the state to the corresponding basis state.
+    Samples outcome ``k`` with probability ``|amplitude[k]|**2``: the first
+    index whose running total exceeds one uniform draw, else the last index.
+    Equal results share one immutable `Outcome` and collapsed basis state.
 
     Args:
         psi: State to measure.
@@ -269,10 +277,14 @@ def measure(psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateV
     Returns:
         The sampled `Outcome` and the collapsed `StateVector`.
     """
-    # The first index whose running total exceeds the draw, else the last one.
-    cumulative = np.cumsum(outcome_distribution(psi))
-    index = min(int(np.searchsorted(cumulative, rng.random(), side="right")), psi.dim - 1)
-    return Outcome.from_index(index, psi.num_qubits), basis_state(index, psi.num_qubits)
+    cumulative = np.cumsum(outcome_distribution(psi)).tolist()
+    index = min(bisect_right(cumulative, rng.random()), psi.dim - 1)
+    return _collapsed(index, psi.num_qubits)
+
+
+@cache
+def _collapsed(index: int, num_qubits: int) -> tuple[Outcome, StateVector]:
+    return Outcome.from_index(index, num_qubits), basis_state(index, num_qubits)
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:

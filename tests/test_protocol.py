@@ -266,3 +266,14 @@ class TestKeySessions:
             SessionConfig(family_name="pauli", blocks=0)
         with pytest.raises(ValueError, match="seed"):
             SessionConfig(family_name="pauli", blocks=1, seed=-3)
+
+    @pytest.mark.parametrize("field, value", [("blocks", 2.5), ("blocks", True), ("blocks", "3"),
+                                              ("seed", 1.0), ("seed", False), ("seed", None)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SessionConfig(**{"family_name": "dft", "blocks": 3, "seed": 1, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SessionConfig(family_name="dft", blocks=np.int64(30), seed=np.uint32(7))
+        assert run_key_session(config) == run_key_session(
+            SessionConfig(family_name="dft", blocks=30, seed=7))

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tristage import qcore
 from tristage import (
     Outcome,
     StateVector,
@@ -75,9 +76,20 @@ class TestStateVector:
         with pytest.raises(ValueError, match="norm"):
             StateVector(1, np.array([1.0, 1.0]))
 
+    def test_norm_tolerance_is_1e_9(self):
+        StateVector(1, np.array([math.sqrt(1.0 + 5e-10), 0.0]))
+        with pytest.raises(ValueError, match="norm squared is"):
+            StateVector(1, np.array([math.sqrt(1.0 + 2e-9), 0.0]))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("num_qubits, values", [(2, [1.0, 0.0]), (1, [[1.0, 0.0]]),
+                                                    (1, [[1.0], [0.0]])])
+    def test_shape_error_names_the_amplitude_count(self, num_qubits, values):
+        with pytest.raises(ValueError, match="amplitudes, got shape"):
+            StateVector(num_qubits, np.array(values))
 
     def test_unsupported_qubit_count_rejected(self):
         with pytest.raises(ValueError):
@@ -86,6 +98,29 @@ class TestStateVector:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             StateVector(1, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("num_qubits, values", [
+        (1, [1.0, complex(0.0, np.nan)]), (2, [np.nan, 0.0]),
+        (1, [np.inf, 0.0]), (1, [-np.inf, 0.0]), (1, [complex(0.0, np.inf), 0.0]),
+        (2, [[np.inf, 0.0]]),
+    ])
+    def test_non_finite_checked_before_shape_and_norm(self, num_qubits, values):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(num_qubits, np.array(values))
+
+    @pytest.mark.parametrize("num_qubits", [True, False, 1.0, "1", None])
+    def test_qubit_count_must_be_an_integer(self, num_qubits):
+        with pytest.raises(ValueError, match="num_qubits"):
+            StateVector(num_qubits, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="num_qubits"):
+            basis_state(0, num_qubits)
+        with pytest.raises(ValueError, match="num_qubits"):
+            Outcome.from_index(0, num_qubits)
+
+    def test_numpy_integer_qubit_counts_accepted(self):
+        assert StateVector(np.int64(1), np.array([1.0, 0.0])) == basis_state(0, 1)
+        assert basis_state(3, np.int32(2)) == basis_state(3, 2)
+        assert Outcome.from_index(2, np.uint8(2)) == Outcome.from_index(2, 2)
 
     def test_equality_is_exact(self):
         assert basis_state(1, 1) == basis_state(1, 1)
@@ -202,6 +237,13 @@ class TestProportionalPhase:
 
 
 class TestOperatorAlgebra:
+    def test_apply_checks_the_norm_of_every_product(self):
+        """An operator let past the unitarity check still cannot make an
+        unnormalized state."""
+        shrink = qcore._trusted(UnitaryOperator, matrix=0.9 * np.eye(2), label="0.9I")
+        with pytest.raises(ValueError, match="norm squared is"):
+            apply(shrink, basis_state(0, 1))
+
     def test_apply_bit_flip(self):
         """X|0> = |1>."""
         x = pauli_family().member("X")
@@ -303,6 +345,24 @@ class TestMeasurement:
             assert outcome.index == _loop_pick(probs, draw)
             if draw < cumulative[-1]:
                 assert probs[outcome.index] > 0
+
+    def test_collapsed_outcomes_are_shared_per_index_and_qubit_count(self):
+        """Measuring a basis state gives its index; equal results are the
+        same read-only objects, and one index over one and two qubits
+        gives two different results."""
+        results = {}
+        for num_qubits in (1, 2, 1, 2):
+            for index in range(2):
+                outcome, collapsed = measure(basis_state(index, num_qubits),
+                                             np.random.default_rng(index))
+                assert outcome == Outcome.from_index(index, num_qubits)
+                assert collapsed == basis_state(index, num_qubits)
+                assert not collapsed.amplitudes.flags.writeable
+                first = results.setdefault((index, num_qubits), (outcome, collapsed))
+                assert first[0] is outcome and first[1] is collapsed
+        for index in range(2):
+            assert results[index, 1][0] != results[index, 2][0]
+            assert results[index, 1][1] != results[index, 2][1]
 
     def test_measure_consumes_one_uniform(self):
         psi = _random_state(np.random.default_rng(29), 2)
