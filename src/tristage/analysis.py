@@ -6,7 +6,7 @@ measurements, noise included, into the exact probability of every record
 code and outcome.  `exact_analysis` reads its closed-form rates;
 `monte_carlo_analysis` draws each trial's record code and Bob's outcome
 from its joint law, one uniform per trial, and estimates the same rates
-from the draws.  Tests check the law against an unpruned per-pair branch
+from how many trials drew each (record code, outcome) cell.  Tests check the law against an unpruned per-pair branch
 enumeration and against independent per-run simulations:
 `protocol.run_three_stage` and a per-row numpy reference.
 
@@ -44,7 +44,7 @@ import numpy as np
 from .adversary import ChannelContext, EveStrategy, NoiseModel
 from .opsets import OperatorFamily
 from .protocol import _draw, _hamming_table, _law
-from .qcore import StateVector, is_basis_state
+from .qcore import StateVector, _check_count, is_basis_state
 
 @dataclass(frozen=True)
 class ExactAnalysis:
@@ -149,35 +149,45 @@ def monte_carlo_analysis(
     exact joint law of the channel given the secret, with one uniform from a
     seeded stream; the law covers the two operators, the collapse at every
     intercepted stage and the per-qubit noise flips of every transmission.
+    Every estimate is computed from the count of trials in each (record
+    code, outcome) cell, with no per-trial arithmetic.
 
     Standard errors: the bit-error rate uses the sample standard error of
     the per-trial bit-error fractions; the whole-block rates use the
     binomial formula.
 
     Raises:
-        ValueError: If dimensions disagree, the secret is not a basis
-            state, or ``trials`` < 1.
+        ValueError: If ``trials`` or ``seed`` is not an integer (bool
+            excluded), ``trials`` < 1, ``seed`` < 0, dimensions disagree
+            or the secret is not a basis state.
         RuntimeError: If the enumerated branch probabilities of any basis
             secret fail to sum to one.
     """
+    _check_count("trials", trials)
+    _check_count("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    trials = int(trials)
     secret_index = _secret_index(family, secret)
     law = _law(family, ctx.eve, ctx.noise)
+    joint = law.joint[secret_index]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    record_codes, outcomes = divmod(_draw(law.joint[secret_index], trials, rng), family.dim)
-    bit_fractions = _hamming_table(family.dim)[secret_index][outcomes] / secret.num_qubits
-    bit_error = float(bit_fractions.mean())
+    # counts[c, k]: the trials that drew record code c and Bob's outcome k.
+    counts = np.bincount(_draw(joint, trials, rng), minlength=joint.size).reshape(joint.shape)
+    per_outcome = counts.sum(axis=0)
+    fractions = _hamming_table(family.dim)[secret_index] / secret.num_qubits
+    bit_error = float(per_outcome @ fractions) / trials
     bit_error_stderr = (
-        float(bit_fractions.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        math.sqrt(float(per_outcome @ (fractions - bit_error) ** 2) / (trials - 1))
+        / math.sqrt(trials) if trials > 1 else 0.0
     )
-    wrong_block = outcomes != secret_index
-    disturbance = float(wrong_block.mean())
+    disturbance = (trials - int(per_outcome[secret_index])) / trials
     disturbance_stderr = math.sqrt(disturbance * (1.0 - disturbance) / trials)
     success = success_stderr = None
     if ctx.eve is not None:
-        right = law.guess_by_code[record_codes] == secret_index
-        success = float(right.mean())
+        success = int(counts.sum(axis=1)[law.guess_by_code == secret_index].sum()) / trials
         success_stderr = math.sqrt(success * (1.0 - success) / trials)
     return MonteCarloAnalysis(
         trials=trials,

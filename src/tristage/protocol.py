@@ -153,7 +153,9 @@ _BRANCH_FLOOR = 1e-15
 
 @cache
 def _hamming_table(dim: int) -> np.ndarray:
-    return np.array([[(i ^ j).bit_count() for j in range(dim)] for i in range(dim)])
+    table = np.array([[(i ^ j).bit_count() for j in range(dim)] for i in range(dim)])
+    table.setflags(write=False)  # the cache hands the same array to every caller
+    return table
 
 
 def _superops(u: np.ndarray) -> np.ndarray:
@@ -276,9 +278,26 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
 def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` flat indices into ``probs``, each from one uniform: the first
     cell whose running total, over the whole, exceeds the uniform.  The last
-    total is exactly one, so a cell of zero probability is never drawn."""
+    total is exactly one, so a cell of zero probability is never drawn.
+
+    A guide table finds the cell (Chen and Asau, 1974) and picks the one a
+    search of the running totals picks.  [0, 1) splits into B buckets, the
+    least power of two at or above min(16 cells, n), so ``u * B`` is exact
+    and bucket b holds exactly the uniforms in [b/B, (b+1)/B); a short draw
+    builds no table longer than itself.  A bucket that no running total
+    splits maps all its uniforms to one cell; the uniforms in the others,
+    under one bucket in 16 unless n caps B, search the totals."""
     cumulative = np.cumsum(probs)
-    return np.searchsorted(cumulative / cumulative[-1], rng.random(n), side="right")
+    totals = cumulative / cumulative[-1]
+    buckets = 1 << (min(16 * totals.size, int(n)) - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    first = np.searchsorted(totals, edges[:-1], side="right")
+    guide = np.where(first == np.searchsorted(totals, edges[1:], side="left"), first, -1)
+    uniforms = rng.random(n)
+    cells = guide[(uniforms * buckets).astype(np.intp)]
+    split = np.flatnonzero(cells < 0)
+    cells[split] = np.searchsorted(totals, uniforms[split], side="right")
+    return cells
 
 
 @lru_cache(maxsize=1)

@@ -40,7 +40,7 @@ _SUPPORTED_DIMS = (2, 4)
 
 
 def _check_finite(arr: np.ndarray, shape_kind: str) -> None:
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{shape_kind} entries must be finite (no NaN or infinity)")
 
 

@@ -234,6 +234,26 @@ class TestMonteCarlo:
                 get_family("pauli"), ChannelContext(), basis_state(0, 1), trials=0, seed=0
             )
 
+    @pytest.mark.parametrize("trials, seed, message", [
+        (True, 0, "trials must be an integer, got True"),
+        (2.5, 0, "trials must be an integer, got 2.5"),
+        (10, True, "seed must be an integer, got True"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (10, -1, "seed must be non-negative, got -1"),
+    ])
+    def test_counts_checked_at_entry(self, trials, seed, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_analysis(
+                get_family("pauli"), ChannelContext(), basis_state(0, 1), trials, seed)
+
+    def test_numpy_integer_counts_give_plain_int_trials(self):
+        ctx = ChannelContext(eve=_stage_eve(1))
+        numpy_counts = monte_carlo_analysis(
+            get_family("hadamard"), ctx, basis_state(0, 1), np.int64(3), np.uint32(4))
+        assert type(numpy_counts.trials) is int
+        assert numpy_counts == monte_carlo_analysis(
+            get_family("hadamard"), ctx, basis_state(0, 1), 3, 4)
+
 
 class TestEveRequired:
     """A channel without Eve has no records: a MAP table names the missing

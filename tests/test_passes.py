@@ -22,7 +22,7 @@ from tristage import (
     run_key_session,
 )
 from tristage.opsets import operator_catalog
-from tristage.protocol import STAGES, _draw, _law
+from tristage.protocol import STAGES, _draw, _hamming_table, _law
 
 
 class _Draws:
@@ -30,9 +30,10 @@ class _Draws:
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self.used = 0
+        self.used = self.calls = 0
 
     def random(self, size):
+        self.calls += 1
         out = self.values[self.used:self.used + size]
         self.used += size
         return out
@@ -209,6 +210,105 @@ class TestBornDraw:
         short = np.array([[0.3, 0.3], [0.3, 0.0]])
         for draw in (0.9, 0.95, np.nextafter(1.0, 0.0)):
             assert _draw(short, 1, _Draws([draw]))[0] == 2
+
+    #: Laws with zero cells and repeated running totals, one cell below 1e-2
+    #: after another, and every law of running totals k/m and 1, m < 25, with
+    #: and without a last cell of zero.
+    LAWS = (
+        *PROBS, PROBS,
+        np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0]),
+        np.array([1e-3, 1e-3, 0.0, 1e-3, 0.997]),
+        np.array([0.0, 1.0, 0.0]),
+        *(np.array([k, m - k, 0.0][:size]) for m in range(3, 25) for k in range(1, m)
+          for size in (2, 3)),
+    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 13, 64, 1000])
+    def test_guide_table_picks_the_searched_cell(self, n):
+        """The guide table splits [0, 1) into B buckets, B the least power of
+        two at or above min(16 cells, n), so one draw makes B = 1.  Draws at
+        every bucket edge and just below it, at zero, at and just below every
+        running total and just below one, padded with random draws to whole
+        batches of n, each batch one ``random(n)`` call, pick the cells that
+        a search of the running totals picks."""
+        rng = np.random.default_rng(n)
+        for probs in self.LAWS:
+            cumulative = np.cumsum(probs)
+            totals = cumulative / cumulative[-1]
+            buckets = 1 << (min(16 * probs.size, n) - 1).bit_length()
+            edges = np.arange(buckets) / buckets
+            draws = np.concatenate([
+                [0.0], edges, np.nextafter(edges, 0.0), totals[totals < 1.0],
+                np.nextafter(totals, 0.0), [np.nextafter(1.0, 0.0)]])
+            draws = np.concatenate([draws, rng.random(-draws.size % n)])
+            for batch in draws.reshape(-1, n):
+                stub = _Draws(batch)
+                picked = _draw(probs, n, stub)
+                assert (stub.calls, stub.used) == (1, n)
+                np.testing.assert_array_equal(
+                    picked, np.searchsorted(totals, batch, side="right"), err_msg=str(probs))
+
+
+def _per_trial_rates(family, ctx, index, trials, seed):
+    """Monte Carlo rates from per-trial arrays: each trial's record code,
+    outcome and bit-error fraction from `_draw`'s cells, then the sample
+    mean and standard deviation over the trials."""
+    law = _law(family, ctx.eve, ctx.noise)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    codes, outcomes = divmod(_draw(law.joint[index], trials, rng), family.dim)
+    num_qubits = family.dim.bit_length() - 1
+    fractions = np.array([bin(index ^ int(k)).count("1") for k in outcomes]) / num_qubits
+    wrong = outcomes != index
+    rates = {
+        "trials": trials,
+        "bit_error_rate": float(fractions.mean()),
+        "bit_error_rate_stderr": (
+            float(fractions.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0),
+        "detection_relevant_disturbance": float(wrong.mean()),
+        "detection_relevant_disturbance_stderr":
+            math.sqrt(wrong.mean() * (1.0 - wrong.mean()) / trials),
+        "eve_guess_success_rate": None,
+        "eve_guess_success_rate_stderr": None,
+    }
+    if ctx.eve is not None:
+        right = (law.guess_by_code[codes] == index).mean()
+        rates["eve_guess_success_rate"] = float(right)
+        rates["eve_guess_success_rate_stderr"] = math.sqrt(right * (1.0 - right) / trials)
+    return rates
+
+
+class TestMonteCarloCounts:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_shared_hamming_table_is_read_only(self, dim):
+        """Every exact and sampled result reads the one cached table."""
+        with pytest.raises(ValueError, match="read-only"):
+            _hamming_table(dim)[0, 0] = 9
+        assert _hamming_table(dim)[0, 0] == 0
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_counts_give_the_per_trial_rates(self, name):
+        """Estimates from the counts of drawn cells equal, bit for bit, those
+        from per-trial arrays of the same draws; the bit error's standard
+        error, summed in another order, agrees within 1e-15 relative."""
+        family = get_family(name)
+        dim = family.dim
+        rotated = {2: "H", 4: "DFT4"}[dim]
+        channels = (
+            ChannelContext(),
+            ChannelContext(noise=NoiseModel(0.02)),
+            ChannelContext(eve=_eve(1, 2, 3, basis=rotated, dim=dim)),
+            ChannelContext(eve=_eve(2, dim=dim), noise=NoiseModel(0.3)),
+        )
+        for ctx in channels:
+            for index in range(dim):
+                secret = basis_state(index, dim.bit_length() - 1)
+                for trials in (1, 2, 777):
+                    seed = 31 * index + trials
+                    mc = monte_carlo_analysis(family, ctx, secret, trials, seed)
+                    expected = _per_trial_rates(family, ctx, index, trials, seed)
+                    stderr = expected.pop("bit_error_rate_stderr")
+                    assert mc.bit_error_rate_stderr == pytest.approx(stderr, rel=1e-15, abs=0)
+                    assert {k: getattr(mc, k) for k in expected} == expected, (ctx, index, trials)
 
 
 class TestLayout:

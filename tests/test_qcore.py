@@ -108,6 +108,10 @@ class TestStateVector:
         with pytest.raises(ValueError, match="finite"):
             StateVector(num_qubits, np.array(values))
 
+    def test_scalar_amplitudes_fail_the_shape_check(self):
+        with pytest.raises(ValueError, match=r"needs 2 amplitudes, got shape \(\)"):
+            StateVector(1, 1.0)
+
     @pytest.mark.parametrize("num_qubits", [True, False, 1.0, "1", None])
     def test_qubit_count_must_be_an_integer(self, num_qubits):
         with pytest.raises(ValueError, match="num_qubits"):
@@ -135,6 +139,10 @@ class TestUnitaryOperator:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             UnitaryOperator(np.ones((2, 3), dtype=complex))
+
+    def test_scalar_matrix_fails_the_square_check(self):
+        with pytest.raises(ValueError, match=r"square, got shape \(\)"):
+            UnitaryOperator(np.array(1.0))
 
     def test_unsupported_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
