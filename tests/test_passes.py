@@ -211,9 +211,9 @@ class TestBornDraw:
         for draw in (0.9, 0.95, np.nextafter(1.0, 0.0)):
             assert _draw(short, 1, _Draws([draw]))[0] == 2
 
-    #: Laws with zero cells and repeated running totals, one cell below 1e-2
-    #: after another, and every law of running totals k/m and 1, m < 25, with
-    #: and without a last cell of zero.
+    #: Laws with zero cells and repeated running totals, with several small
+    #: cells inside one bucket, and every law of running totals k/m and 1,
+    #: m < 25, with and without a last cell of zero.
     LAWS = (
         *PROBS, PROBS,
         np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0]),
@@ -258,21 +258,20 @@ def _per_trial_rates(family, ctx, index, trials, seed):
     codes, outcomes = divmod(_draw(law.joint[index], trials, rng), family.dim)
     num_qubits = family.dim.bit_length() - 1
     fractions = np.array([bin(index ^ int(k)).count("1") for k in outcomes]) / num_qubits
-    wrong = outcomes != index
+    wrong = float((outcomes != index).mean())
     rates = {
         "trials": trials,
         "bit_error_rate": float(fractions.mean()),
         "bit_error_rate_stderr": (
             float(fractions.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0),
-        "detection_relevant_disturbance": float(wrong.mean()),
-        "detection_relevant_disturbance_stderr":
-            math.sqrt(wrong.mean() * (1.0 - wrong.mean()) / trials),
+        "detection_relevant_disturbance": wrong,
+        "detection_relevant_disturbance_stderr": math.sqrt(wrong * (1.0 - wrong) / trials),
         "eve_guess_success_rate": None,
         "eve_guess_success_rate_stderr": None,
     }
     if ctx.eve is not None:
-        right = (law.guess_by_code[codes] == index).mean()
-        rates["eve_guess_success_rate"] = float(right)
+        right = float((law.guess_by_code[codes] == index).mean())
+        rates["eve_guess_success_rate"] = right
         rates["eve_guess_success_rate_stderr"] = math.sqrt(right * (1.0 - right) / trials)
     return rates
 
