@@ -6,9 +6,11 @@ measurements, noise included, into the exact probability of every record
 code and outcome.  `exact_analysis` reads its closed-form rates;
 `monte_carlo_analysis` draws each trial's record code and Bob's outcome
 from its joint law, one uniform per trial, and estimates the same rates
-from how many trials drew each (record code, outcome) cell.  Tests check the law against an unpruned per-pair branch
-enumeration and against independent per-run simulations:
-`protocol.run_three_stage` and a per-row numpy reference.
+from how many trials drew each (record code, outcome) cell, counted chunk
+by chunk so that no array grows with the trial count.  Tests check the law
+against an unpruned per-pair branch enumeration and against independent
+per-run simulations: `protocol.run_three_stage` and a per-row numpy
+reference.
 
 One enumeration covers every basis secret at once, and the law keeps the
 last one: calls whose channel (family, Eve and noise) equals that of the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .adversary import ChannelContext, EveStrategy, NoiseModel
 from .opsets import OperatorFamily
-from .protocol import _draw, _hamming_table, _law
+from .protocol import _draw_counts, _hamming_table, _law
 from .qcore import StateVector, _check_count, is_basis_state
 
 @dataclass(frozen=True)
@@ -150,7 +152,9 @@ def monte_carlo_analysis(
     seeded stream; the law covers the two operators, the collapse at every
     intercepted stage and the per-qubit noise flips of every transmission.
     Every estimate is computed from the count of trials in each (record
-    code, outcome) cell, with no per-trial arithmetic.
+    code, outcome) cell, with no per-trial arithmetic; the counts are taken
+    over fixed-size chunks of the one stream of uniforms
+    (`protocol._draw_counts`).
 
     Standard errors: the bit-error rate uses the sample standard error of
     the per-trial bit-error fractions; the whole-block rates use the
@@ -175,7 +179,7 @@ def monte_carlo_analysis(
     joint = law.joint[secret_index]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     # counts[c, k]: the trials that drew record code c and Bob's outcome k.
-    counts = np.bincount(_draw(joint, trials, rng), minlength=joint.size).reshape(joint.shape)
+    counts = _draw_counts(joint, trials, rng)
     per_outcome = counts.sum(axis=0)
     fractions = _hamming_table(family.dim)[secret_index] / secret.num_qubits
     bit_error = float(per_outcome @ fractions) / trials

@@ -23,8 +23,9 @@ basis secret's exact rates and the joint law of (record code, Bob's
 outcome) per secret.  Nothing is pruned, so every event of positive
 probability can be drawn.  `_law` keeps the law of the last channel,
 compared by value.  Key sessions and Monte Carlo analysis draw their runs
-from the joint law with `_draw`, one uniform per run, and score Eve by its
-``guess_by_code``.
+from the joint law, one uniform per run, and score Eve by its
+``guess_by_code``: sessions take each run's cell from `_draw`, and Monte
+Carlo takes only how many runs fell in each cell, from `_draw_counts`.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ _TIE_TOL = 1e-12
 
 #: Paths above this probability count as branches.
 _BRANCH_FLOOR = 1e-15
+
+#: Uniforms per chunk of `_draw_counts`: 64 KiB of doubles.
+_COUNT_CHUNK = 8192
 
 
 @cache
@@ -287,16 +291,51 @@ def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     builds no table longer than itself.  A bucket that no running total
     splits maps all its uniforms to one cell; the uniforms in the others,
     under one bucket in 16 unless n caps B, search the totals."""
+    return _pick(_guide(probs, n), rng.random(n))
+
+
+def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``_draw(probs, n, rng)``'s cells fall in each cell of
+    ``probs``, in its shape, from the same uniforms and the same table.
+
+    The uniforms come `_COUNT_CHUNK` at a time, and the generator's doubles
+    form one stream however the calls cut it, so the counts, and the state
+    the generator is left in, are those of the single draw.  A chunk's
+    arrays take 64 KiB each, half of glibc's default threshold for giving an
+    allocation its own mapping, so every chunk reuses heap memory, where the
+    per-trial arrays of one draw of 10^5 trials are mapped afresh, and
+    faulted in page by page, on every call."""
+    guide = _guide(probs, n)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, n, _COUNT_CHUNK):
+        cells = _pick(guide, rng.random(min(_COUNT_CHUNK, n - start)))
+        counts += np.bincount(cells, minlength=probs.size)
+    return counts.reshape(probs.shape)
+
+
+class _Guide(NamedTuple):
+    """A law's guide table for draws of a given size (see `_draw`)."""
+
+    totals: np.ndarray  # running totals over the whole; the last is one
+    buckets: int
+    cells: np.ndarray  # per bucket: its one cell, or -1 where a total splits it
+
+
+def _guide(probs: np.ndarray, n: int) -> _Guide:
     cumulative = np.cumsum(probs)
     totals = cumulative / cumulative[-1]
     buckets = 1 << (min(16 * totals.size, int(n)) - 1).bit_length()
     edges = np.arange(buckets + 1) / buckets
     first = np.searchsorted(totals, edges[:-1], side="right")
-    guide = np.where(first == np.searchsorted(totals, edges[1:], side="left"), first, -1)
-    uniforms = rng.random(n)
-    cells = guide[(uniforms * buckets).astype(np.intp)]
+    cells = np.where(first == np.searchsorted(totals, edges[1:], side="left"), first, -1)
+    return _Guide(totals, buckets, cells)
+
+
+def _pick(guide: _Guide, uniforms: np.ndarray) -> np.ndarray:
+    """The cell of each uniform, as `_draw` defines it."""
+    cells = guide.cells[(uniforms * guide.buckets).astype(np.intp)]
     split = np.flatnonzero(cells < 0)
-    cells[split] = np.searchsorted(totals, uniforms[split], side="right")
+    cells[split] = np.searchsorted(guide.totals, uniforms[split], side="right")
     return cells
 
 

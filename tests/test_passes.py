@@ -21,8 +21,9 @@ from tristage import (
     monte_carlo_analysis,
     run_key_session,
 )
+from tristage import protocol
 from tristage.opsets import operator_catalog
-from tristage.protocol import STAGES, _draw, _hamming_table, _law
+from tristage.protocol import STAGES, _draw, _draw_counts, _hamming_table, _law
 
 
 class _Draws:
@@ -248,6 +249,26 @@ class TestBornDraw:
                 np.testing.assert_array_equal(
                     picked, np.searchsorted(totals, batch, side="right"), err_msg=str(probs))
 
+    @pytest.mark.parametrize("chunk", [1, 7, protocol._COUNT_CHUNK])
+    def test_counts_are_those_of_one_draw(self, chunk, monkeypatch):
+        """Counting takes the uniforms ``chunk`` at a time from the stream
+        that one `_draw` takes at once, so it counts that draw's cells and
+        leaves the generator where the draw leaves it.  A stub sees one
+        ``random`` call per chunk, the last one short, and n uniforms in
+        all."""
+        monkeypatch.setattr(protocol, "_COUNT_CHUNK", chunk)
+        noisy = _law(get_family("dft"), _eve(1, 2, 3), NoiseModel(0.05)).joint[1]
+        for index, probs in enumerate([*self.PROBS, self.PROBS, noisy]):
+            for n in sorted({1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2} - {0}):
+                drawn, counted = np.random.default_rng(index), np.random.default_rng(index)
+                cells = np.bincount(_draw(probs, n, drawn), minlength=probs.size)
+                np.testing.assert_array_equal(
+                    _draw_counts(probs, n, counted), cells.reshape(probs.shape))
+                assert counted.bit_generator.state == drawn.bit_generator.state
+                stub = _Draws(np.random.default_rng(n).random(n))
+                assert _draw_counts(probs, n, stub).sum() == n
+                assert (stub.calls, stub.used) == (-(-n // chunk), n)
+
 
 def _per_trial_rates(family, ctx, index, trials, seed):
     """Monte Carlo rates from per-trial arrays: each trial's record code,
@@ -308,6 +329,22 @@ class TestMonteCarloCounts:
                     stderr = expected.pop("bit_error_rate_stderr")
                     assert mc.bit_error_rate_stderr == pytest.approx(stderr, rel=1e-15, abs=0)
                     assert {k: getattr(mc, k) for k in expected} == expected, (ctx, index, trials)
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_counts_over_many_chunks_give_the_per_trial_rates(self, name, monkeypatch):
+        """With chunks of 64 uniforms, 777 trials take 13 chunks, the last
+        one short, and still give the per-trial estimates."""
+        monkeypatch.setattr(protocol, "_COUNT_CHUNK", 64)
+        family = get_family(name)
+        dim = family.dim
+        ctx = ChannelContext(eve=_eve(1, 2, 3, dim=dim), noise=NoiseModel(0.05))
+        for index in range(dim):
+            secret = basis_state(index, dim.bit_length() - 1)
+            mc = monte_carlo_analysis(family, ctx, secret, 777, 5 + index)
+            expected = _per_trial_rates(family, ctx, index, 777, 5 + index)
+            stderr = expected.pop("bit_error_rate_stderr")
+            assert mc.bit_error_rate_stderr == pytest.approx(stderr, rel=1e-15, abs=0)
+            assert {k: getattr(mc, k) for k in expected} == expected, index
 
 
 class TestLayout:
