@@ -282,21 +282,13 @@ def _enumerate(family: OperatorFamily, eve: EveStrategy | None, noise: NoiseMode
 def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` flat indices into ``probs``, each from one uniform: the first
     cell whose running total, over the whole, exceeds the uniform.  The last
-    total is exactly one, so a cell of zero probability is never drawn.
-
-    A guide table finds the cell (Chen and Asau, 1974) and picks the one a
-    search of the running totals picks.  [0, 1) splits into B buckets, the
-    least power of two at or above min(16 cells, n), so ``u * B`` is exact
-    and bucket b holds exactly the uniforms in [b/B, (b+1)/B); a short draw
-    builds no table longer than itself.  A bucket that no running total
-    splits maps all its uniforms to one cell; the uniforms in the others,
-    under one bucket in 16 unless n caps B, search the totals."""
-    return _pick(_guide(probs, n), rng.random(n))
+    total is exactly one, so a cell of zero probability is never drawn."""
+    return np.searchsorted(_running_totals(probs), rng.random(n), side="right")
 
 
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """How many of ``_draw(probs, n, rng)``'s cells fall in each cell of
-    ``probs``, in its shape, from the same uniforms and the same table.
+    ``probs``, in its shape, from the same uniforms.
 
     The uniforms come `_COUNT_CHUNK` at a time, and the generator's doubles
     form one stream however the calls cut it, so the counts, and the state
@@ -305,38 +297,18 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     allocation its own mapping, so every chunk reuses heap memory, where the
     per-trial arrays of one draw of 10^5 trials are mapped afresh, and
     faulted in page by page, on every call."""
-    guide = _guide(probs, n)
+    totals = _running_totals(probs)
     counts = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, n, _COUNT_CHUNK):
-        cells = _pick(guide, rng.random(min(_COUNT_CHUNK, n - start)))
-        counts += np.bincount(cells, minlength=probs.size)
+        uniforms = rng.random(min(_COUNT_CHUNK, n - start))
+        counts += np.bincount(np.searchsorted(totals, uniforms, side="right"),
+                              minlength=probs.size)
     return counts.reshape(probs.shape)
 
 
-class _Guide(NamedTuple):
-    """A law's guide table for draws of a given size (see `_draw`)."""
-
-    totals: np.ndarray  # running totals over the whole; the last is one
-    buckets: int
-    cells: np.ndarray  # per bucket: its one cell, or -1 where a total splits it
-
-
-def _guide(probs: np.ndarray, n: int) -> _Guide:
+def _running_totals(probs: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(probs)
-    totals = cumulative / cumulative[-1]
-    buckets = 1 << (min(16 * totals.size, int(n)) - 1).bit_length()
-    edges = np.arange(buckets + 1) / buckets
-    first = np.searchsorted(totals, edges[:-1], side="right")
-    cells = np.where(first == np.searchsorted(totals, edges[1:], side="left"), first, -1)
-    return _Guide(totals, buckets, cells)
-
-
-def _pick(guide: _Guide, uniforms: np.ndarray) -> np.ndarray:
-    """The cell of each uniform, as `_draw` defines it."""
-    cells = guide.cells[(uniforms * guide.buckets).astype(np.intp)]
-    split = np.flatnonzero(cells < 0)
-    cells[split] = np.searchsorted(guide.totals, uniforms[split], side="right")
-    return cells
+    return cumulative / cumulative[-1]
 
 
 @lru_cache(maxsize=1)

@@ -19,9 +19,9 @@ from tristage import (
     get_family,
     map_guesser,
     monte_carlo_analysis,
+    protocol,
     run_key_session,
 )
-from tristage import protocol
 from tristage.opsets import operator_catalog
 from tristage.protocol import STAGES, _draw, _draw_counts, _hamming_table, _law
 
@@ -212,61 +212,33 @@ class TestBornDraw:
         for draw in (0.9, 0.95, np.nextafter(1.0, 0.0)):
             assert _draw(short, 1, _Draws([draw]))[0] == 2
 
-    #: Laws with zero cells and repeated running totals, with several small
-    #: cells inside one bucket, and every law of running totals k/m and 1,
-    #: m < 25, with and without a last cell of zero.
-    LAWS = (
-        *PROBS, PROBS,
-        np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0]),
-        np.array([1e-3, 1e-3, 0.0, 1e-3, 0.997]),
-        np.array([0.0, 1.0, 0.0]),
-        *(np.array([k, m - k, 0.0][:size]) for m in range(3, 25) for k in range(1, m)
-          for size in (2, 3)),
-    )
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 13, 64, 1000])
-    def test_guide_table_picks_the_searched_cell(self, n):
-        """The guide table splits [0, 1) into B buckets, B the least power of
-        two at or above min(16 cells, n), so one draw makes B = 1.  Draws at
-        every bucket edge and just below it, at zero, at and just below every
-        running total and just below one, padded with random draws to whole
-        batches of n, each batch one ``random(n)`` call, pick the cells that
-        a search of the running totals picks."""
-        rng = np.random.default_rng(n)
-        for probs in self.LAWS:
-            cumulative = np.cumsum(probs)
-            totals = cumulative / cumulative[-1]
-            buckets = 1 << (min(16 * probs.size, n) - 1).bit_length()
-            edges = np.arange(buckets) / buckets
-            draws = np.concatenate([
-                [0.0], edges, np.nextafter(edges, 0.0), totals[totals < 1.0],
-                np.nextafter(totals, 0.0), [np.nextafter(1.0, 0.0)]])
-            draws = np.concatenate([draws, rng.random(-draws.size % n)])
-            for batch in draws.reshape(-1, n):
-                stub = _Draws(batch)
-                picked = _draw(probs, n, stub)
-                assert (stub.calls, stub.used) == (1, n)
-                np.testing.assert_array_equal(
-                    picked, np.searchsorted(totals, batch, side="right"), err_msg=str(probs))
-
     @pytest.mark.parametrize("chunk", [1, 7, protocol._COUNT_CHUNK])
     def test_counts_are_those_of_one_draw(self, chunk, monkeypatch):
         """Counting takes the uniforms ``chunk`` at a time from the stream
         that one `_draw` takes at once, so it counts that draw's cells and
-        leaves the generator where the draw leaves it.  A stub sees one
-        ``random`` call per chunk, the last one short, and n uniforms in
-        all."""
+        leaves the generator where the draw leaves it.  Draws at zero, at
+        and just below every running total and just below one count in the
+        cell a right-sided search picks, and a stub sees one ``random`` call
+        per chunk, the last one short, and n uniforms in all."""
         monkeypatch.setattr(protocol, "_COUNT_CHUNK", chunk)
         noisy = _law(get_family("dft"), _eve(1, 2, 3), NoiseModel(0.05)).joint[1]
         for index, probs in enumerate([*self.PROBS, self.PROBS, noisy]):
+            cumulative = np.cumsum(probs)
+            totals = cumulative / cumulative[-1]
+            edges = np.concatenate([[0.0], totals[totals < 1.0], np.nextafter(totals, 0.0),
+                                    [np.nextafter(1.0, 0.0)]])
             for n in sorted({1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2} - {0}):
                 drawn, counted = np.random.default_rng(index), np.random.default_rng(index)
                 cells = np.bincount(_draw(probs, n, drawn), minlength=probs.size)
                 np.testing.assert_array_equal(
                     _draw_counts(probs, n, counted), cells.reshape(probs.shape))
                 assert counted.bit_generator.state == drawn.bit_generator.state
-                stub = _Draws(np.random.default_rng(n).random(n))
-                assert _draw_counts(probs, n, stub).sum() == n
+                draws = np.concatenate([edges, np.random.default_rng(n).random(n)])[:n]
+                stub = _Draws(draws)
+                searched = np.bincount(np.searchsorted(totals, draws, side="right"),
+                                       minlength=probs.size)
+                np.testing.assert_array_equal(
+                    _draw_counts(probs, n, stub), searched.reshape(probs.shape))
                 assert (stub.calls, stub.used) == (-(-n // chunk), n)
 
 
@@ -306,10 +278,13 @@ class TestMonteCarloCounts:
         assert _hamming_table(dim)[0, 0] == 0
 
     @pytest.mark.parametrize("name", family_names())
-    def test_counts_give_the_per_trial_rates(self, name):
+    def test_counts_give_the_per_trial_rates(self, name, monkeypatch):
         """Estimates from the counts of drawn cells equal, bit for bit, those
         from per-trial arrays of the same draws; the bit error's standard
-        error, summed in another order, agrees within 1e-15 relative."""
+        error, summed in another order, agrees within 1e-15 relative.  The
+        counts come in chunks of 64 uniforms, so 777 trials take 13 chunks,
+        the last one short."""
+        monkeypatch.setattr(protocol, "_COUNT_CHUNK", 64)
         family = get_family(name)
         dim = family.dim
         rotated = {2: "H", 4: "DFT4"}[dim]
@@ -329,22 +304,6 @@ class TestMonteCarloCounts:
                     stderr = expected.pop("bit_error_rate_stderr")
                     assert mc.bit_error_rate_stderr == pytest.approx(stderr, rel=1e-15, abs=0)
                     assert {k: getattr(mc, k) for k in expected} == expected, (ctx, index, trials)
-
-    @pytest.mark.parametrize("name", family_names())
-    def test_counts_over_many_chunks_give_the_per_trial_rates(self, name, monkeypatch):
-        """With chunks of 64 uniforms, 777 trials take 13 chunks, the last
-        one short, and still give the per-trial estimates."""
-        monkeypatch.setattr(protocol, "_COUNT_CHUNK", 64)
-        family = get_family(name)
-        dim = family.dim
-        ctx = ChannelContext(eve=_eve(1, 2, 3, dim=dim), noise=NoiseModel(0.05))
-        for index in range(dim):
-            secret = basis_state(index, dim.bit_length() - 1)
-            mc = monte_carlo_analysis(family, ctx, secret, 777, 5 + index)
-            expected = _per_trial_rates(family, ctx, index, 777, 5 + index)
-            stderr = expected.pop("bit_error_rate_stderr")
-            assert mc.bit_error_rate_stderr == pytest.approx(stderr, rel=1e-15, abs=0)
-            assert {k: getattr(mc, k) for k in expected} == expected, index
 
 
 class TestLayout:
