@@ -24,8 +24,9 @@ outcome) per secret.  Nothing is pruned, so every event of positive
 probability can be drawn.  `_law` keeps the law of the last channel,
 compared by value.  Key sessions and Monte Carlo analysis draw their runs
 from the joint law, one uniform per run, and score Eve by its
-``guess_by_code``: sessions take each run's cell from `_draw`, and Monte
-Carlo takes only how many runs fell in each cell, from `_draw_counts`.
+``guess_by_code``: sessions take each run's cell from `_draw`, a chunk of
+runs at a time, and Monte Carlo takes only how many runs fell in each cell,
+from `_draw_counts`.
 """
 
 from __future__ import annotations
@@ -151,8 +152,10 @@ _TIE_TOL = 1e-12
 #: Paths above this probability count as branches.
 _BRANCH_FLOOR = 1e-15
 
-#: Uniforms per chunk of `_draw_counts`: 64 KiB of doubles.
-_COUNT_CHUNK = 8192
+#: Draws per chunk of `_draw_counts`, `run_key_session` and the parity masks
+#: of `sift`: 64 KiB of doubles or int64 bits.  A multiple of 8, so that a
+#: chunk of mask bits packs into whole bytes.
+_CHUNK = 8192
 
 
 @cache
@@ -290,7 +293,7 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     """How many of ``_draw(probs, n, rng)``'s cells fall in each cell of
     ``probs``, in its shape, from the same uniforms.
 
-    The uniforms come `_COUNT_CHUNK` at a time, and the generator's doubles
+    The uniforms come `_CHUNK` at a time, and the generator's doubles
     form one stream however the calls cut it, so the counts, and the state
     the generator is left in, are those of the single draw.  A chunk's
     arrays take 64 KiB each, half of glibc's default threshold for giving an
@@ -299,8 +302,8 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     faulted in page by page, on every call."""
     totals = _running_totals(probs)
     counts = np.zeros(probs.size, dtype=np.int64)
-    for start in range(0, n, _COUNT_CHUNK):
-        uniforms = rng.random(min(_COUNT_CHUNK, n - start))
+    for start in range(0, n, _CHUNK):
+        uniforms = rng.random(min(_CHUNK, n - start))
         counts += np.bincount(np.searchsorted(totals, uniforms, side="right"),
                               minlength=probs.size)
     return counts.reshape(probs.shape)
@@ -338,10 +341,13 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class SessionReport:
-    """Result of a key session: both bit strings and the derived rates."""
+    """Result of a key session: both bit strings and the derived rates.
 
-    alice_bits: tuple
-    bob_bits: tuple
+    The keys are read-only ``uint8`` arrays of 0 and 1, so compare them with
+    `np.array_equal`; ``==`` on two reports is ambiguous."""
+
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
     bit_error_rate: float
     eve_guess_success_rate: float | None
 
@@ -358,10 +364,14 @@ def run_key_session(config: SessionConfig) -> SessionReport:
     Each block draws its secret, Eve's record code and Bob's outcome
     together from the exact law of the channel, with one uniform from a
     stream seeded by the session seed, so identical configs reproduce
-    identical reports bit for bit.  When Eve is active, each block's record
-    code is scored with her MAP guess from the same law, as Monte Carlo
-    analysis scores it, and the report carries her empirical guess success
-    rate; otherwise that rate is None.
+    identical reports bit for bit, and a longer session extends a shorter
+    one.  The uniforms come `_CHUNK` at a time, as in `_draw_counts`, and
+    each chunk's bits are written into the keys and its errors and Eve's
+    hits counted, so beyond the keys memory does not grow with the blocks.
+    When Eve is active, each block's record code is scored with her MAP
+    guess from the same law, as Monte Carlo analysis scores it, and the
+    report carries her empirical guess success rate; otherwise that rate is
+    None.
 
     Raises:
         ValueError: If the family name is unknown, or Eve's pre-rotation
@@ -370,21 +380,32 @@ def run_key_session(config: SessionConfig) -> SessionReport:
             secret fail to sum to one.
     """
     family = get_family(config.family_name)
-    dim = family.dim
+    dim, blocks = family.dim, int(config.blocks)
     law = _law(family, config.eve_strategy, config.noise)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
-    secrets, codes, outcomes = np.unravel_index(
-        _draw(law.joint, config.blocks, rng), law.joint.shape)
-    # Bits of each index, most significant (qubit 0) first.
+    # Per cell of the joint: the bits of its secret and of Bob's outcome,
+    # most significant (qubit 0) first, their Hamming distance and whether
+    # Eve's guess from its record code is right.
+    secrets, codes, outcomes = np.unravel_index(np.arange(law.joint.size), law.joint.shape)
     shifts = np.arange(dim.bit_length() - 2, -1, -1)
-    alice_bits = (secrets[:, None] >> shifts & 1).ravel()
-    bob_bits = (outcomes[:, None] >> shifts & 1).ravel()
-    success_rate = None
-    if config.eve_strategy is not None:
-        success_rate = int((law.guess_by_code[codes] == secrets).sum()) / config.blocks
+    alice_of_cell = (secrets[:, None] >> shifts & 1).astype(np.uint8)
+    bob_of_cell = (outcomes[:, None] >> shifts & 1).astype(np.uint8)
+    errors_of_cell = _hamming_table(dim)[secrets, outcomes]
+    hit_of_cell = law.guess_by_code[codes] == secrets
+    alice_bits = np.empty((blocks, shifts.size), np.uint8)
+    bob_bits = np.empty((blocks, shifts.size), np.uint8)
+    errors = hits = 0
+    for start in range(0, blocks, _CHUNK):
+        cells = _draw(law.joint, min(_CHUNK, blocks - start), rng)
+        alice_bits[start:start + cells.size] = alice_of_cell[cells]
+        bob_bits[start:start + cells.size] = bob_of_cell[cells]
+        errors += int(errors_of_cell[cells].sum())
+        hits += int(np.count_nonzero(hit_of_cell[cells]))
+    for bits in (alice_bits, bob_bits):
+        bits.setflags(write=False)
     return SessionReport(
-        alice_bits=tuple(alice_bits.tolist()),
-        bob_bits=tuple(bob_bits.tolist()),
-        bit_error_rate=int((alice_bits != bob_bits).sum()) / alice_bits.size,
-        eve_guess_success_rate=success_rate,
+        alice_bits=alice_bits.ravel(),
+        bob_bits=bob_bits.ravel(),
+        bit_error_rate=errors / alice_bits.size,
+        eve_guess_success_rate=hits / blocks if config.eve_strategy is not None else None,
     )

@@ -18,6 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .protocol import _CHUNK
+from .qcore import _check_count
+
 # Largest key length for which subset masks are drawn as single integers;
 # longer keys fall back to per-bit draws with rejection of the empty subset.
 _INTEGER_MASK_LIMIT = 62
@@ -78,20 +81,51 @@ def _set_bits(mask: int) -> np.ndarray:
 
 def _bits_to_int(bits: np.ndarray) -> int:
     """The integer whose bit i is ``bits[i]`` (entries 0 or 1)."""
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+    packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
 def _key_to_int(key, side: str) -> tuple[int, int]:
-    """The key as the integer whose bit i is entry i, and its length."""
-    bits = np.asarray(key)
+    """The key as the integer whose bit i is entry i, and its length.
+
+    A list or tuple of small non-negative integers is read through `bytes`,
+    which is several times faster than `np.asarray`; any other entries, and
+    any other sequence, go through `np.asarray` as an array does."""
+    bits = None
+    if isinstance(key, (list, tuple)):
+        try:
+            bits = np.frombuffer(bytes(key), np.uint8)
+        except (TypeError, ValueError):  # entries that are not integers in [0, 256)
+            pass
+    if bits is None:
+        bits = np.asarray(key)
     if bits.ndim != 1:
         raise ValueError(f"{side} key must be one-dimensional, got shape {bits.shape}")
-    bad = np.flatnonzero((bits != 0) & (bits != 1))
-    if bad.size:
-        i = int(bad[0])
+    # Unsigned and bool entries are bits unless above 1: one test, one temporary.
+    bad = bits > 1 if bits.dtype.kind in "bu" else (bits != 0) & (bits != 1)
+    if bad.any():
+        i = int(bad.argmax())
         raise ValueError(f"{side} key must contain bits, got {key[i]!r} at index {i}")
     return _bits_to_int(bits), len(bits)
+
+
+def _long_mask(length: int, rng: np.random.Generator) -> int:
+    """A uniform non-empty subset of ``length`` bits, as an integer mask.
+
+    The bits are drawn with ``rng.integers(0, 2, size=...)`` `_CHUNK` at a
+    time and packed into the mask's bytes as they come.  The generator's
+    draws form one stream however the calls cut it, so the mask, and the
+    state the generator is left in, are those of one draw of ``length``
+    bits; an empty mask is drawn again whole."""
+    packed = np.empty((length + 7) // 8, np.uint8)
+    while True:
+        for start in range(0, length, _CHUNK):  # _CHUNK is a multiple of 8
+            chunk = rng.integers(0, 2, size=min(_CHUNK, length - start))
+            # Packing int64 bits directly is several times slower than via uint8.
+            packed[start // 8:(start + chunk.size + 7) // 8] = np.packbits(
+                chunk.astype(np.uint8), bitorder="little")
+        if packed.any():
+            return int.from_bytes(packed.tobytes(), "little")
 
 
 def parity_check(
@@ -103,7 +137,9 @@ def parity_check(
     """Compare parities of uniformly random nonempty key subsets.
 
     Args:
-        alice_key: Alice's bits, as a sequence or a numpy array.
+        alice_key: Alice's bits, as a sequence (a list or tuple of 0 and 1
+            is read fastest) or a numpy array (a ``uint8`` array, as
+            `run_key_session` returns, is taken as it is).
         bob_key: Bob's bits, same length.
         rounds: How many independent subsets to draw; each consumes the
             bits it touches (they become disclosed).
@@ -115,8 +151,10 @@ def parity_check(
 
     Raises:
         ValueError: On length mismatch, empty keys, keys that are not
-            one-dimensional, or rounds < 1.
+            one-dimensional or hold entries other than 0 and 1, or rounds
+            that is not an integer >= 1.
     """
+    _check_count("rounds", rounds)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     alice_int, length = _key_to_int(alice_key, "alice")
@@ -128,13 +166,7 @@ def parity_check(
     if length <= _INTEGER_MASK_LIMIT:
         masks = [int(m) for m in rng.integers(1, 2**length, size=rounds)]
     else:
-        masks = []
-        for _ in range(rounds):
-            while True:
-                bits = rng.integers(0, 2, size=length)
-                if bits.any():
-                    break
-            masks.append(_bits_to_int(bits))
+        masks = [_long_mask(length, rng) for _ in range(rounds)]
     round_results = []
     union = 0
     for mask in masks:
@@ -162,8 +194,11 @@ def detection_probability(key_length: int, error_weight: int, rounds: int) -> fl
     never detected.
 
     Raises:
-        ValueError: If counts are out of range.
+        ValueError: If a count is not an integer or is out of range.
     """
+    _check_count("key_length", key_length)
+    _check_count("error_weight", error_weight)
+    _check_count("rounds", rounds)
     if key_length < 1:
         raise ValueError(f"key_length must be >= 1, got {key_length}")
     if not 0 <= error_weight <= key_length:
@@ -174,5 +209,6 @@ def detection_probability(key_length: int, error_weight: int, rounds: int) -> fl
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if error_weight == 0:
         return 0.0
-    per_round = 2 ** (key_length - 1) / (2**key_length - 1)
+    n = int(key_length)  # 2**n would wrap in a numpy integer
+    per_round = 2 ** (n - 1) / (2**n - 1)
     return 1.0 - (1.0 - per_round) ** rounds

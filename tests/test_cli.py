@@ -256,16 +256,49 @@ class TestOtherCommands:
     def test_module_entry_point(self):
         """The child finds the package this test imported, even when only
         pytest's own path setting put it on the path."""
-        source = str(Path(tristage.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tristage", "list-families"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "pauli" in proc.stdout
+
+
+def _child_env() -> dict:
+    """The environment of a child process that imports the package this test imported."""
+    source = str(Path(tristage.__file__).parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+
+#: A `tristage run` that prints its own peak resident memory, in kB, to stderr.
+_PEAK_CHILD = """
+import sys
+from tristage.cli import main
+code = main(["run", *sys.argv[1:]])
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM")).split()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_session_memory_is_bounded_in_blocks():
+    """From 0.5M to 2.5M dft blocks, Eve at every stage and noise 0.05, a
+    run's peak memory grows by at most 10 bytes per block: each block keeps
+    its four key bits as bytes, and the draws and the sifting work in
+    chunks or on the packed keys."""
+    peaks = {}
+    for blocks in (500_000, 2_500_000):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_CHILD, "--family", "dft", "--blocks", str(blocks),
+             "--eve-stages", "1,2,3", "--noise", "0.05", "--seed", "5"],
+            capture_output=True, text=True, env=_child_env(), check=True)
+        peaks[blocks] = int(proc.stderr.split()[-1]) * 1024
+    growth = (peaks[2_500_000] - peaks[500_000]) / 2_000_000
+    assert growth <= 10, f"{growth:.1f} bytes per block, peaks {peaks}"
 
 
 class TestReportSerialization:

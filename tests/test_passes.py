@@ -212,7 +212,7 @@ class TestBornDraw:
         for draw in (0.9, 0.95, np.nextafter(1.0, 0.0)):
             assert _draw(short, 1, _Draws([draw]))[0] == 2
 
-    @pytest.mark.parametrize("chunk", [1, 7, protocol._COUNT_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, protocol._CHUNK])
     def test_counts_are_those_of_one_draw(self, chunk, monkeypatch):
         """Counting takes the uniforms ``chunk`` at a time from the stream
         that one `_draw` takes at once, so it counts that draw's cells and
@@ -220,7 +220,7 @@ class TestBornDraw:
         and just below every running total and just below one count in the
         cell a right-sided search picks, and a stub sees one ``random`` call
         per chunk, the last one short, and n uniforms in all."""
-        monkeypatch.setattr(protocol, "_COUNT_CHUNK", chunk)
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
         noisy = _law(get_family("dft"), _eve(1, 2, 3), NoiseModel(0.05)).joint[1]
         for index, probs in enumerate([*self.PROBS, self.PROBS, noisy]):
             cumulative = np.cumsum(probs)
@@ -284,7 +284,7 @@ class TestMonteCarloCounts:
         error, summed in another order, agrees within 1e-15 relative.  The
         counts come in chunks of 64 uniforms, so 777 trials take 13 chunks,
         the last one short."""
-        monkeypatch.setattr(protocol, "_COUNT_CHUNK", 64)
+        monkeypatch.setattr(protocol, "_CHUNK", 64)
         family = get_family(name)
         dim = family.dim
         rotated = {2: "H", 4: "DFT4"}[dim]
@@ -358,7 +358,11 @@ class TestAcrossChunks:
         blocks = 16387
         for name, eve in (("dft", _eve(1, 2, 3, basis="DFT4")), ("hadamard", _eve(2, dim=2))):
             report = _session_rates(name, eve, blocks, seed=12)
-            assert report == _session_rates(name, eve, blocks, seed=12)
+            again = _session_rates(name, eve, blocks, seed=12)
+            np.testing.assert_array_equal(report.alice_bits, again.alice_bits)
+            np.testing.assert_array_equal(report.bob_bits, again.bob_bits)
+            assert (report.bit_error_rate, report.eve_guess_success_rate) == (
+                again.bit_error_rate, again.eve_guess_success_rate)
             family = get_family(name)
             num_qubits = family.dim.bit_length() - 1
             exact = [exact_analysis(family, eve, basis_state(i, num_qubits))

@@ -8,6 +8,7 @@ import pytest
 from tristage import (
     ChannelContext,
     EveStrategy,
+    NoiseModel,
     NonCommutingOperatorsError,
     SessionConfig,
     StageLabel,
@@ -27,7 +28,8 @@ from tristage import (
     verify_recovery,
 )
 from tristage.opsets import operator_catalog
-from tristage.protocol import STAGES, Transcript
+from tristage import protocol
+from tristage.protocol import STAGES, Transcript, _draw, _law
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 CLEAN = ChannelContext()
@@ -47,6 +49,12 @@ def _random_runs(name, runs, channel, seed):
         alice_op = fam.members[int(rng.integers(0, len(fam)))]
         bob_op = fam.members[int(rng.integers(0, len(fam)))]
         yield run_three_stage(secret, alice_op, bob_op, channel, rng)
+
+
+def _fields(report):
+    """A session report's fields with the keys as bytes, which compare with ``==``."""
+    return (report.alice_bits.tobytes(), report.bob_bits.tobytes(),
+            report.bit_error_rate, report.eve_guess_success_rate)
 
 
 class TestSingleRuns:
@@ -185,7 +193,7 @@ class TestKeySessions:
                     SessionConfig(family_name=name, blocks=60, seed=seed)
                 )
                 assert report.bit_error_rate == 0.0
-                assert report.alice_bits == report.bob_bits
+                np.testing.assert_array_equal(report.alice_bits, report.bob_bits)
                 assert report.eve_guess_success_rate is None
 
     def test_two_qubit_families_carry_two_bits_per_block(self):
@@ -199,8 +207,8 @@ class TestKeySessions:
         )
         first = run_key_session(config)
         second = run_key_session(config)
-        assert first.alice_bits == second.alice_bits
-        assert first.bob_bits == second.bob_bits
+        np.testing.assert_array_equal(first.alice_bits, second.alice_bits)
+        np.testing.assert_array_equal(first.bob_bits, second.bob_bits)
         assert first.bit_error_rate == second.bit_error_rate
 
     def test_eavesdropped_session_rates_match_enumeration(self):
@@ -275,5 +283,49 @@ class TestKeySessions:
 
     def test_numpy_integer_counts_accepted(self):
         config = SessionConfig(family_name="dft", blocks=np.int64(30), seed=np.uint32(7))
-        assert run_key_session(config) == run_key_session(
-            SessionConfig(family_name="dft", blocks=30, seed=7))
+        assert _fields(run_key_session(config)) == _fields(run_key_session(
+            SessionConfig(family_name="dft", blocks=30, seed=7)))
+
+
+class TestChunkedSessions:
+    """Sessions draw their blocks `protocol._CHUNK` at a time from one
+    uniform stream."""
+
+    @pytest.mark.parametrize("chunk", [7, protocol._CHUNK])
+    @pytest.mark.parametrize("name, stages, noise", [
+        ("dft", (1, 2, 3), 0.05), ("hadamard", (1,), None), ("pauli", (), None)])
+    def test_chunked_sessions_are_the_one_shot_draw(self, chunk, name, stages, noise, monkeypatch):
+        """At chunk-1, chunk, chunk+1 and 2*chunk+3 blocks the keys are
+        read-only uint8 arrays of the bits that one `_draw` of every block
+        gives, most significant bit first, the rates are counted from that
+        draw, and each session extends the shorter ones."""
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        family = get_family(name)
+        num_qubits = family.dim.bit_length() - 1
+        eve = EveStrategy(stages={StageLabel(s) for s in stages}) if stages else None
+        channel = NoiseModel(noise) if noise else None
+        law = _law(family, eve, channel)
+        longest = None
+        for blocks in (2 * chunk + 3, chunk + 1, chunk, chunk - 1):
+            report = run_key_session(SessionConfig(name, blocks, eve, channel, seed=12))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=12))
+            secrets, codes, outcomes = np.unravel_index(
+                _draw(law.joint, blocks, rng), law.joint.shape)
+            alice = [int(bit) for s in secrets for bit in format(s, f"0{num_qubits}b")]
+            bob = [int(bit) for k in outcomes for bit in format(k, f"0{num_qubits}b")]
+            for bits, want in ((report.alice_bits, alice), (report.bob_bits, bob)):
+                assert bits.dtype == np.uint8
+                with pytest.raises(ValueError, match="read-only"):
+                    bits[0] = 1
+                np.testing.assert_array_equal(bits, want)
+            assert report.bit_error_rate == sum(a != b for a, b in zip(alice, bob)) / len(alice)
+            if eve is None:
+                assert report.eve_guess_success_rate is None
+            else:
+                hits = int(np.count_nonzero(law.guess_by_code[codes] == secrets))
+                assert report.eve_guess_success_rate == hits / blocks
+            if longest is None:
+                longest = report
+            for bits, longer in ((report.alice_bits, longest.alice_bits),
+                                 (report.bob_bits, longest.bob_bits)):
+                np.testing.assert_array_equal(longer[:bits.size], bits)

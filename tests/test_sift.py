@@ -1,12 +1,14 @@
 """Tests for parity-based tamper detection on sifted keys."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tristage import ParityRound, SiftReport, detection_probability, parity_check
+from tristage.protocol import _CHUNK
 
 
 def flip(key, positions):
@@ -129,8 +131,50 @@ class TestParityCheckValidation:
         with pytest.raises(ValueError):
             parity_check((0, 2), (0, 1), rounds=1, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("key", [
+        [0, 2], (0, -1), [1, 256], [0, 1.5], [0, 2**70], [True, 2],
+        [np.True_, np.int64(3)], np.array([0, 2]), np.array([0.0, 0.5]), np.array([0, -1])])
+    def test_first_non_bit_entry_named(self, key):
+        """Lists and tuples read through `bytes` or through `np.asarray`
+        alike name the first entry that is not a bit."""
+        message = f"alice key must contain bits, got {key[1]!r} at index 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parity_check(key, [0, 1], rounds=1, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("length", [10, 100])
+    @pytest.mark.parametrize("rounds", [True, False, 2.5, 1.0, "3", None])
+    def test_rounds_must_be_an_integer(self, length, rounds):
+        """On either mask path, short keys and long, a count that is not an
+        integer is rejected before any draw."""
+        key = (0, 1) * (length // 2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            parity_check(key, key, rounds=rounds, rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_rounds_accepted(self):
+        key = (0, 1) * 40
+        want = parity_check(key, key, rounds=3, rng=np.random.default_rng(4))
+        assert parity_check(key, key, rounds=np.int64(3), rng=np.random.default_rng(4)) == want
+
 
 class TestDetectionProbability:
+    @pytest.mark.parametrize("field", ["key_length", "error_weight", "rounds"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_counts_must_be_integers(self, field, value):
+        counts = {"key_length": 8, "error_weight": 1, "rounds": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            detection_probability(**counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        """A numpy key length does not wrap 2**n: at 100 bits the chance is
+        that of Python integers."""
+        for n in (8, 100):
+            assert detection_probability(np.int64(n), np.int32(1), np.uint8(3)) == (
+                detection_probability(n, 1, 3))
+        assert detection_probability(np.int64(100), 1, 1) == pytest.approx(0.5, abs=1e-15)
+
     def test_zero_weight_is_never_detected(self):
         for n in (1, 4, 16):
             for rounds in (1, 5, 50):
@@ -230,3 +274,85 @@ class TestLazyDisclosure:
         report = parity_check((0, 1) * 40, (0, 1) * 40, rounds=3, rng=np.random.default_rng(2))
         with pytest.raises(ValueError, match="disclosed indices must be >= 0"):
             dataclasses.replace(report, disclosed_indices=indices)
+
+
+class _ZeroFirst:
+    """Generator stand-in whose first ``zeros`` bit draws are all zero; the
+    rest come from a real generator."""
+
+    def __init__(self, zeros, seed):
+        self.zeros, self.rng = zeros, np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        if len(self.sizes) <= self.zeros:
+            return np.zeros(size, np.int64)
+        return self.rng.integers(low, high, size=size)
+
+
+def _reference_parity_check(alice, bob, rounds, rng):
+    """`parity_check` with each long mask from one ``rng.integers(0, 2,
+    size=length)`` draw, redrawn while empty, and bits read one by one."""
+    alice, bob = [int(b) for b in alice], [int(b) for b in bob]
+    length = len(alice)
+    if length <= 62:
+        masks = [int(m) for m in rng.integers(1, 2**length, size=rounds)]
+    else:
+        masks = []
+        for _ in range(rounds):
+            bits = rng.integers(0, 2, size=length)
+            while not bits.any():
+                bits = rng.integers(0, 2, size=length)
+            masks.append(int("".join(map(str, bits[::-1].tolist())), 2))
+    to_int = lambda key: int("".join(map(str, key[::-1])), 2)
+    rows = [ParityRound(m, (m & to_int(alice)).bit_count() % 2, (m & to_int(bob)).bit_count() % 2)
+            for m in masks]
+    union = 0
+    for m in masks:
+        union |= m
+    return SiftReport(tuple(rows), any(r.mismatch for r in rows), union)
+
+
+class TestMaskStream:
+    """Long masks are drawn `_CHUNK` bits at a time from the stream that one
+    draw of the whole mask takes."""
+
+    KEY_TYPES = {
+        "list": lambda bits: bits.tolist(),
+        "tuple": lambda bits: tuple(bits.tolist()),
+        "uint8": lambda bits: bits,
+        "int64": lambda bits: bits.astype(np.int64),
+        "bool": lambda bits: bits.astype(bool),
+    }
+
+    @pytest.mark.parametrize("length", [62, 63, _CHUNK - 1, _CHUNK, _CHUNK + 1, 100_001])
+    @pytest.mark.parametrize("key_type", list(KEY_TYPES))
+    def test_reports_and_stream_are_those_of_one_draw(self, length, key_type):
+        alice = np.random.default_rng(length).integers(0, 2, size=length, dtype=np.uint8)
+        bob = alice.copy()
+        bob[[0, length // 3, length - 1]] ^= 1
+        convert = self.KEY_TYPES[key_type]
+        drawn, reference = np.random.default_rng(length + 1), np.random.default_rng(length + 1)
+        got = parity_check(convert(alice), convert(bob), rounds=3, rng=drawn)
+        assert got == _reference_parity_check(alice, bob, 3, reference)
+        assert drawn.random() == reference.random()
+
+    @pytest.mark.parametrize("length", [63, _CHUNK, 2 * _CHUNK + 5])
+    def test_empty_mask_is_drawn_again_whole(self, length):
+        """The bits of a mask are drawn in chunks of `_CHUNK`, the last one
+        short; an empty mask is drawn again from its first bit, and a
+        non-empty chunk after an empty one does not end the mask early."""
+        sizes = [min(_CHUNK, length - start) for start in range(0, length, _CHUNK)]
+        key = (1,) * length
+        stub = _ZeroFirst(zeros=len(sizes) + 1, seed=3)
+        report = parity_check(key, key, rounds=1, rng=stub)
+        real = np.random.default_rng(3)
+        if len(sizes) == 1:  # two empty masks, then a drawn one
+            assert stub.sizes == sizes * 3
+            want = real.integers(0, 2, size=length)
+        else:  # an empty mask, then one whose first chunk is empty
+            assert stub.sizes == sizes * 2
+            want = np.concatenate([np.zeros(_CHUNK, np.int64),
+                                   *(real.integers(0, 2, size=n) for n in sizes[1:])])
+        assert report.rounds[0].subset_mask == int("".join(map(str, want[::-1].tolist())), 2)
