@@ -291,10 +291,14 @@ class _ZeroFirst:
         return self.rng.integers(low, high, size=size)
 
 
+def _as_int(bits):
+    """The integer whose bit i is ``bits[i]``, read digit by digit."""
+    return int("".join(str(int(b)) for b in reversed(bits)), 2)
+
+
 def _reference_parity_check(alice, bob, rounds, rng):
     """`parity_check` with each long mask from one ``rng.integers(0, 2,
     size=length)`` draw, redrawn while empty, and bits read one by one."""
-    alice, bob = [int(b) for b in alice], [int(b) for b in bob]
     length = len(alice)
     if length <= 62:
         masks = [int(m) for m in rng.integers(1, 2**length, size=rounds)]
@@ -304,10 +308,9 @@ def _reference_parity_check(alice, bob, rounds, rng):
             bits = rng.integers(0, 2, size=length)
             while not bits.any():
                 bits = rng.integers(0, 2, size=length)
-            masks.append(int("".join(map(str, bits[::-1].tolist())), 2))
-    to_int = lambda key: int("".join(map(str, key[::-1])), 2)
-    rows = [ParityRound(m, (m & to_int(alice)).bit_count() % 2, (m & to_int(bob)).bit_count() % 2)
-            for m in masks]
+            masks.append(_as_int(bits))
+    alice, bob = _as_int(alice), _as_int(bob)
+    rows = [ParityRound(m, (m & alice).bit_count() % 2, (m & bob).bit_count() % 2) for m in masks]
     union = 0
     for m in masks:
         union |= m
@@ -355,4 +358,4 @@ class TestMaskStream:
             assert stub.sizes == sizes * 2
             want = np.concatenate([np.zeros(_CHUNK, np.int64),
                                    *(real.integers(0, 2, size=n) for n in sizes[1:])])
-        assert report.rounds[0].subset_mask == int("".join(map(str, want[::-1].tolist())), 2)
+        assert report.rounds[0].subset_mask == _as_int(want)
