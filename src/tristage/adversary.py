@@ -45,8 +45,9 @@ class EveStrategy:
     Args:
         stages: Non-empty set of `StageLabel` values to intercept; any
             other value raises ValueError.
-        pre_rotation: Optional unitary defining the measurement basis; None
-            means the computational basis.
+        pre_rotation: Optional `UnitaryOperator` defining the measurement
+            basis; None means the computational basis.  Anything else
+            raises ValueError.
     """
 
     stages: frozenset
@@ -59,6 +60,9 @@ class EveStrategy:
         for stage in self.stages:
             if not isinstance(stage, StageLabel):
                 raise ValueError(f"stage {stage!r} is not a StageLabel")
+        if not isinstance(self.pre_rotation, (UnitaryOperator, type(None))):
+            raise ValueError("pre_rotation must be a UnitaryOperator or None, "
+                             f"got {type(self.pre_rotation).__name__}")
 
     def attacks(self, stage: StageLabel) -> bool:
         return stage in self.stages
@@ -66,14 +70,16 @@ class EveStrategy:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Independent bit flip on each qubit of each transmission."""
+    """Independent bit flip on each qubit of each transmission, with a
+    probability that is an int or float (numpy's too, bool excluded) in [0, 1]."""
 
     bit_flip_probability: float
 
     def __post_init__(self):
         p = self.bit_flip_probability
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bit flip probability must lie in [0, 1], got {p}")
+        real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+        if not (real and 0.0 <= p <= 1.0):
+            raise ValueError(f"bit flip probability must be a number in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)

@@ -167,12 +167,8 @@ def monte_carlo_analysis(
         RuntimeError: If the enumerated branch probabilities of any basis
             secret fail to sum to one.
     """
-    _check_count("trials", trials)
-    _check_count("seed", seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     trials = int(trials)
     secret_index = _secret_index(family, secret)
     law = _law(family, ctx.eve, ctx.noise)

@@ -237,20 +237,21 @@ def operator_catalog(dim: int) -> dict[str, UnitaryOperator]:
 
 
 @lru_cache(maxsize=64)
-def commutation_phase(u: UnitaryOperator, v: UnitaryOperator, tol: float = DEFAULT_TOL):
+def commutation_phase(u: UnitaryOperator, v: UnitaryOperator):
     """Return the unit scalar ``c`` with ``U·V = c·(V·U)``, or None.
 
     The phase is extracted at the largest-modulus entry of ``V·U`` and
-    verified entrywise within ``tol``.  Returns None when the two products
-    are not proportional, i.e. the operators do not commute even up to a
-    global phase.  Cached by value; 64 entries hold the catalog's 56 pairs.
+    verified entrywise within `DEFAULT_TOL`.  Returns None when the two
+    products are not proportional, i.e. the operators do not commute even up
+    to a global phase.  Cached by value; 64 entries hold the catalog's 54
+    distinct ordered pairs.
 
     Raises:
         ValueError: If the operators have different dimensions.
     """
     if u.dim != v.dim:
         raise ValueError(f"operator dims differ: {u.dim} vs {v.dim}")
-    return proportional_phase(u.matrix @ v.matrix, v.matrix @ u.matrix, tol)
+    return proportional_phase(u.matrix @ v.matrix, v.matrix @ u.matrix)
 
 
 @dataclass(frozen=True)
@@ -270,12 +271,12 @@ class PhaseDecomposition:
         return self.phase * tensor(family.member(self.left), family.member(self.right)).matrix
 
 
-def pauli_tensor_decompose(u: UnitaryOperator, tol: float = DEFAULT_TOL):
+def pauli_tensor_decompose(u: UnitaryOperator):
     """Search for a decomposition of a 4x4 unitary as c * (P tensor Q).
 
     Scans the 16 label pairs (left factor then right factor, each in order
     I, X, Y, Z) and for each pair the phases 1, -1, i, -i; the first match
-    within ``tol`` wins, which makes the result deterministic.
+    within `DEFAULT_TOL` wins, which makes the result deterministic.
 
     Returns:
         A `PhaseDecomposition`, or None if no candidate matches.
@@ -290,7 +291,7 @@ def pauli_tensor_decompose(u: UnitaryOperator, tol: float = DEFAULT_TOL):
         for right in family.members:
             product = np.kron(left.matrix, right.matrix)
             for phase in QUARTER_PHASES:
-                if np.max(np.abs(u.matrix - phase * product)) <= tol:
+                if np.max(np.abs(u.matrix - phase * product)) <= DEFAULT_TOL:
                     return PhaseDecomposition(left=left.label, right=right.label, phase=phase)
     return None
 
@@ -362,7 +363,7 @@ def _phase_name(phase: complex | None) -> str:
     return f"{phase:.3f}"
 
 
-def verify_family(family: OperatorFamily, tol: float = DEFAULT_TOL) -> FamilyReport:
+def verify_family(family: OperatorFamily) -> FamilyReport:
     """Check the algebraic properties a protocol family must satisfy.
 
     For every ordered member pair the commutation phase and a closure
@@ -371,17 +372,17 @@ def verify_family(family: OperatorFamily, tol: float = DEFAULT_TOL) -> FamilyRep
     """
     identity = np.eye(family.dim)
     has_identity = any(
-        proportional_phase(m.matrix, identity, tol) is not None for m in family.members
+        proportional_phase(m.matrix, identity) is not None for m in family.members
     )
     pairs = []
     for left in family.members:
         for right in family.members:
-            comm = commutation_phase(left, right, tol)
+            comm = commutation_phase(left, right)
             product = left.matrix @ right.matrix
             witness_label = None
             witness_phase = None
             for candidate in family.members:
-                phase = proportional_phase(product, candidate.matrix, tol)
+                phase = proportional_phase(product, candidate.matrix)
                 if phase is not None:
                     witness_label = candidate.label
                     witness_phase = phase
@@ -425,7 +426,7 @@ def aggregate_outcome_distribution(family: OperatorFamily, psi: StateVector) -> 
     return total / len(family)
 
 
-def basis_preserving(family: OperatorFamily, tol: float = DEFAULT_TOL) -> bool:
+def basis_preserving(family: OperatorFamily) -> bool:
     """True when every member maps every basis state to a basis state up to phase.
 
     Equivalent to every member being a permutation matrix with unit-modulus
@@ -434,30 +435,28 @@ def basis_preserving(family: OperatorFamily, tol: float = DEFAULT_TOL) -> bool:
     """
     for member in family.members:
         moduli = np.abs(member.matrix)
-        if np.any(np.sum(moduli > tol, axis=0) != 1):
+        if np.any(np.sum(moduli > DEFAULT_TOL, axis=0) != 1):
             return False
     return True
 
 
-def superposition_probability(
-    family: OperatorFamily, psi: StateVector, tol: float = DEFAULT_TOL
-) -> float:
+def superposition_probability(family: OperatorFamily, psi: StateVector) -> float:
     """Fraction of members that map a basis state into a superposition.
 
     A member counts when its image of ``psi`` has at least two amplitudes
-    exceeding ``tol`` in modulus.
+    exceeding `DEFAULT_TOL` in modulus.
 
     Raises:
-        ValueError: If ``psi`` is not a computational basis state (within
-            ``tol``) or the dimensions do not match.
+        ValueError: If ``psi`` is not a computational basis state or the
+            dimensions do not match.
     """
     if family.dim != psi.dim:
         raise ValueError(f"family dim {family.dim} does not match state dim {psi.dim}")
-    if is_basis_state(psi, tol) is None:
+    if is_basis_state(psi) is None:
         raise ValueError("input must be a computational basis state")
     count = 0
     for member in family.members:
         moduli = np.abs(apply(member, psi).amplitudes)
-        if int(np.sum(moduli > tol)) >= 2:
+        if int(np.sum(moduli > DEFAULT_TOL)) >= 2:
             count += 1
     return count / len(family)

@@ -40,7 +40,6 @@ import numpy as np
 from .adversary import STAGES, ChannelContext, EveStrategy, NoiseModel, StageLabel, transmit
 from .opsets import OperatorFamily, commutation_phase, get_family
 from .qcore import (
-    DEFAULT_TOL,
     Outcome,
     StateVector,
     UnitaryOperator,
@@ -138,9 +137,9 @@ def run_three_stage(
     )
 
 
-def verify_recovery(transcript: Transcript, tol: float = DEFAULT_TOL) -> bool:
+def verify_recovery(transcript: Transcript) -> bool:
     """True when the recovered state equals the secret up to a global phase."""
-    return equal_up_to_global_phase(transcript.recovered, transcript.secret, tol)
+    return equal_up_to_global_phase(transcript.recovered, transcript.secret)
 
 
 #: Branch probabilities of each secret must sum to one within this tolerance.
@@ -286,7 +285,8 @@ def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` flat indices into ``probs``, each from one uniform: the first
     cell whose running total, over the whole, exceeds the uniform.  The last
     total is exactly one, so a cell of zero probability is never drawn."""
-    return np.searchsorted(_running_totals(probs), rng.random(n), side="right")
+    cumulative = np.cumsum(probs)
+    return np.searchsorted(cumulative / cumulative[-1], rng.random(n), side="right")
 
 
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,18 +300,10 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     allocation its own mapping, so every chunk reuses heap memory, where the
     per-trial arrays of one draw of 10^5 trials are mapped afresh, and
     faulted in page by page, on every call."""
-    totals = _running_totals(probs)
     counts = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, n, _CHUNK):
-        uniforms = rng.random(min(_CHUNK, n - start))
-        counts += np.bincount(np.searchsorted(totals, uniforms, side="right"),
-                              minlength=probs.size)
+        counts += np.bincount(_draw(probs, min(_CHUNK, n - start), rng), minlength=probs.size)
     return counts.reshape(probs.shape)
-
-
-def _running_totals(probs: np.ndarray) -> np.ndarray:
-    cumulative = np.cumsum(probs)
-    return cumulative / cumulative[-1]
 
 
 @lru_cache(maxsize=1)
@@ -331,12 +323,8 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("blocks", self.blocks)
-        _check_count("seed", self.seed)
-        if self.blocks < 1:
-            raise ValueError(f"blocks must be >= 1, got {self.blocks}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_count("blocks", self.blocks, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

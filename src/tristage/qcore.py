@@ -10,7 +10,8 @@ Two comparison notions are used throughout:
   determinism checks, and
 * equality up to a global phase (`equal_up_to_global_phase`), the physically
   meaningful notion, since a unit-modulus scalar in front of a state is
-  unobservable.
+  unobservable.  Like every norm, unitarity and basis-state test here and in
+  `opsets` and `protocol`, it compares within `DEFAULT_TOL`, the one tolerance.
 
 All wrapper types are immutable after construction (the underlying numpy
 buffers are marked read-only) and safe to share between threads.  Random
@@ -27,12 +28,12 @@ one norm test also rejects NaN and infinity.  Collapsed outcomes are shared.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 
-#: Default tolerance for derived quantities (norms, phase comparisons).
+#: The one tolerance of state and operator comparisons (norms, phases, basis states).
 DEFAULT_TOL = 1e-9
 
 _SUPPORTED_NUM_QUBITS = (1, 2)
@@ -44,9 +45,12 @@ def _check_finite(arr: np.ndarray, shape_kind: str) -> None:
         raise ValueError(f"{shape_kind} entries must be finite (no NaN or infinity)")
 
 
-def _check_count(name: str, value) -> None:
+def _check_count(name: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _trusted(cls, **fields):
@@ -57,7 +61,7 @@ def _trusted(cls, **fields):
     return value
 
 
-def proportional_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
+def proportional_phase(a: np.ndarray, b: np.ndarray):
     """Return the unit scalar ``c`` with ``a = c * b``, or None if there is none.
 
     The candidate phase is extracted at the largest-modulus entry of ``b`` to
@@ -66,11 +70,10 @@ def proportional_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     Args:
         a: Complex array.
         b: Complex array of the same shape.
-        tol: Entrywise tolerance for the comparison.
 
     Returns:
-        A complex scalar of modulus 1 (within ``tol``), or None if ``a`` is
-        not a unit-modulus multiple of ``b``.
+        A complex scalar of modulus 1 (within `DEFAULT_TOL`), or None if
+        ``a`` is not a unit-modulus multiple of ``b``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -78,10 +81,10 @@ def proportional_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     pivot = np.abs(b).argmax()
     pivot_value = b.flat[pivot]
-    if abs(pivot_value) <= tol:
+    if abs(pivot_value) <= DEFAULT_TOL:
         return None
     c = a.flat[pivot] / pivot_value
-    if abs(abs(c) - 1.0) > tol or np.abs(a - c * b).max() > tol:
+    if abs(abs(c) - 1.0) > DEFAULT_TOL or np.abs(a - c * b).max() > DEFAULT_TOL:
         return None
     return complex(c)
 
@@ -100,7 +103,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_count("num_qubits", self.num_qubits)
+        _check_count("num_qubits", self.num_qubits, 1)
         if self.num_qubits not in _SUPPORTED_NUM_QUBITS:
             raise ValueError(f"num_qubits must be 1 or 2, got {self.num_qubits}")
         arr = np.array(self.amplitudes, dtype=complex, order="C")
@@ -181,20 +184,18 @@ class Outcome:
     """
 
     index: int
-    bits: tuple[int, ...] = field(default=())
+    bits: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.bits:
-            raise ValueError("bits must be non-empty")
-        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0/1, got {self.bits}")
+        if not self.bits or any(type(b) is not int or b not in (0, 1) for b in self.bits):
+            raise ValueError(f"bits must be a non-empty tuple of 0/1 ints, got {self.bits}")
         expected = sum(b << q for q, b in enumerate(reversed(self.bits)))
         if expected != self.index:
             raise ValueError(f"bits {self.bits} do not encode index {self.index}")
 
     @classmethod
     def from_index(cls, index: int, num_qubits: int) -> "Outcome":
-        _check_count("num_qubits", num_qubits)
+        _check_count("num_qubits", num_qubits, 0)
         if num_qubits < 1 or not 0 <= index < 2**num_qubits:
             raise ValueError(f"index {index} out of range for {num_qubits} qubit(s)")
         bits = tuple(int((index >> (num_qubits - 1 - q)) & 1) for q in range(num_qubits))
@@ -211,7 +212,7 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
     Raises:
         ValueError: If the index is out of range or num_qubits unsupported.
     """
-    _check_count("num_qubits", num_qubits)
+    _check_count("num_qubits", num_qubits, 1)
     if num_qubits not in _SUPPORTED_NUM_QUBITS:
         raise ValueError(f"num_qubits must be 1 or 2, got {num_qubits}")
     if not 0 <= index < 2**num_qubits:
@@ -222,13 +223,13 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
     return _trusted(StateVector, num_qubits=num_qubits, amplitudes=amps)
 
 
-def is_basis_state(psi: StateVector, tol: float = DEFAULT_TOL) -> int | None:
+def is_basis_state(psi: StateVector) -> int | None:
     """Return the basis index of ``psi`` if it is a basis state up to phase.
 
-    Returns None when more than one amplitude exceeds ``tol`` in modulus.
+    Returns None when more than one amplitude exceeds `DEFAULT_TOL` in modulus.
     """
     moduli = np.abs(psi.amplitudes)
-    large = np.flatnonzero(moduli > tol)
+    large = np.flatnonzero(moduli > DEFAULT_TOL)
     if large.size != 1:
         return None
     return int(large[0])
@@ -287,15 +288,15 @@ def _collapsed(index: int, num_qubits: int) -> tuple[Outcome, StateVector]:
     return Outcome.from_index(index, num_qubits), basis_state(index, num_qubits)
 
 
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:
+def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
     """Return True iff ``a = c * b`` for some unit-modulus scalar ``c``.
 
     The phase is derived at the largest-modulus amplitude of ``b`` and then
-    checked entrywise within ``tol``.
+    checked entrywise within `DEFAULT_TOL`.
 
     Raises:
         ValueError: If the states have different dimensions.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError(f"state dims differ: {a.dim} vs {b.dim}")
-    return proportional_phase(a.amplitudes, b.amplitudes, tol) is not None
+    return proportional_phase(a.amplitudes, b.amplitudes) is not None

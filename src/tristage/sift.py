@@ -154,9 +154,7 @@ def parity_check(
             one-dimensional or hold entries other than 0 and 1, or rounds
             that is not an integer >= 1.
     """
-    _check_count("rounds", rounds)
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    _check_count("rounds", rounds, 1)
     alice_int, length = _key_to_int(alice_key, "alice")
     bob_int, bob_length = _key_to_int(bob_key, "bob")
     if length != bob_length:
@@ -196,17 +194,11 @@ def detection_probability(key_length: int, error_weight: int, rounds: int) -> fl
     Raises:
         ValueError: If a count is not an integer or is out of range.
     """
-    _check_count("key_length", key_length)
-    _check_count("error_weight", error_weight)
-    _check_count("rounds", rounds)
-    if key_length < 1:
-        raise ValueError(f"key_length must be >= 1, got {key_length}")
-    if not 0 <= error_weight <= key_length:
-        raise ValueError(
-            f"error_weight must lie in [0, {key_length}], got {error_weight}"
-        )
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    _check_count("key_length", key_length, 1)
+    _check_count("error_weight", error_weight, 0)
+    _check_count("rounds", rounds, 1)
+    if error_weight > key_length:
+        raise ValueError(f"error_weight must lie in [0, {key_length}], got {error_weight}")
     if error_weight == 0:
         return 0.0
     n = int(key_length)  # 2**n would wrap in a numpy integer

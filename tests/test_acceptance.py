@@ -84,7 +84,7 @@ def test_criterion_1_exhaustive_clean_recovery():
                         transcript = run_three_stage(
                             secret, alice_op, bob_op, channel, rng
                         )
-                        assert verify_recovery(transcript, tol=1e-9), (
+                        assert verify_recovery(transcript), (
                             f"{name}: pair ({alice_op.label}, {bob_op.label}) "
                             f"failed to recover basis state {index}"
                         )
@@ -99,7 +99,7 @@ def test_criterion_2_family_commutation_reports():
     with criterion(2, "all catalog families commute up to phase"):
         start = time.perf_counter()
         for name in family_names():
-            report = verify_family(get_family(name), tol=1e-9)
+            report = verify_family(get_family(name))
             assert report.passed, f"{name} failed verification"
         pauli_phases = {
             pair.commutation for pair in verify_family(pauli_family()).pairs

@@ -57,6 +57,24 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             NoiseModel(bit_flip_probability=-0.1)
 
+    @pytest.mark.parametrize("rotation", [np.eye(2), "H"])
+    def test_pre_rotation_must_be_an_operator(self, rotation):
+        """An array or a label would fail only later, in the law's cache or
+        in `transmit`; construction rejects it."""
+        with pytest.raises(ValueError, match="pre_rotation must be a UnitaryOperator or None"):
+            EveStrategy(stages={STAGE_1}, pre_rotation=rotation)
+
+    @pytest.mark.parametrize("p", ["0.1", True, False, None, float("nan")])
+    def test_noise_probability_must_be_a_number(self, p):
+        """A string would fail only at the first comparison, and True would
+        read as a probability of 1."""
+        with pytest.raises(ValueError, match=r"must be a number in \[0, 1\]"):
+            NoiseModel(p)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.25, np.float64(0.25), np.float32(0.5), np.int64(1)])
+    def test_python_and_numpy_numbers_accepted(self, p):
+        assert NoiseModel(p).bit_flip_probability == p
+
 
 class TestTransmit:
     def test_clean_channel_delivers_unchanged(self):

@@ -240,6 +240,7 @@ class TestMonteCarlo:
         (10, True, "seed must be an integer, got True"),
         (10, 1.5, "seed must be an integer, got 1.5"),
         (10, -1, "seed must be non-negative, got -1"),
+        (0, 0, "trials must be >= 1, got 0"),
     ])
     def test_counts_checked_at_entry(self, trials, seed, message):
         with pytest.raises(ValueError, match=message):

@@ -155,6 +155,21 @@ class TestCommutationPhase:
         with pytest.raises(ValueError):
             commutation_phase(pauli_family().member("X"), dft_family().member("DFT4"))
 
+    def test_one_cache_entry_per_pair(self):
+        """`verify_family` and `run_three_stage` call with the same arguments,
+        so the catalog's 54 distinct ordered pairs (the identities are shared
+        between families) take 54 entries, whichever caller came first."""
+        commutation_phase.cache_clear()
+        families = [get_family(name) for name in family_names()]
+        for family in families:
+            verify_family(family)
+        for family in families:
+            for left in family.members:
+                for right in family.members:
+                    commutation_phase(left, right)
+        info = commutation_phase.cache_info()
+        assert (info.misses, info.currsize) == (54, 54)
+
 
 class TestVerifyFamily:
     def test_all_catalog_families_pass(self):

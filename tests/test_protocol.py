@@ -144,7 +144,7 @@ class TestRecoveryProperties:
                         t = run_three_stage(
                             basis_state(index, num_qubits), alice_op, bob_op, CLEAN, rng
                         )
-                        assert verify_recovery(t, tol=1e-9), (
+                        assert verify_recovery(t), (
                             name,
                             alice_op.label,
                             bob_op.label,

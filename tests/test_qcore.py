@@ -244,6 +244,30 @@ class TestProportionalPhase:
         assert proportional_phase(2.0 * a, a) is None
 
 
+class TestDefaultTolerance:
+    """The three comparisons every other tolerance test goes through accept
+    a deviation of half `DEFAULT_TOL` and reject one of twice it."""
+
+    @staticmethod
+    def _tilted(deviation):
+        return StateVector(1, [math.sqrt(1.0 - deviation**2), deviation])
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_proportional_phase(self, scale, accepted):
+        b = np.array([1.0, 0.0, 0.5j, -0.5])
+        a = b + np.array([0.0, scale * qcore.DEFAULT_TOL, 0.0, 0.0])
+        assert (proportional_phase(a, b) is not None) is accepted
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_is_basis_state(self, scale, accepted):
+        assert (is_basis_state(self._tilted(scale * qcore.DEFAULT_TOL)) == 0) is accepted
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_equal_up_to_global_phase(self, scale, accepted):
+        tilted = self._tilted(scale * qcore.DEFAULT_TOL)
+        assert equal_up_to_global_phase(tilted, basis_state(0, 1)) is accepted
+
+
 class TestOperatorAlgebra:
     def test_apply_checks_the_norm_of_every_product(self):
         """An operator let past the unitarity check still cannot make an

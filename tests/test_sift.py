@@ -167,6 +167,16 @@ class TestDetectionProbability:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             detection_probability(**counts)
 
+    @pytest.mark.parametrize("counts, message", [
+        ((0, 0, 1), "key_length must be >= 1, got 0"),
+        ((8, -1, 1), "error_weight must be non-negative, got -1"),
+        ((8, 9, 1), r"error_weight must lie in \[0, 8\], got 9"),
+        ((8, 1, 0), "rounds must be >= 1, got 0"),
+    ])
+    def test_counts_must_be_in_range(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            detection_probability(*counts)
+
     def test_numpy_integer_counts_accepted(self):
         """A numpy key length does not wrap 2**n: at 100 bits the chance is
         that of Python integers."""
