@@ -73,7 +73,7 @@ class DeltaSummary:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything one invocation produces; serializes losslessly."""
+    """Everything one invocation produces."""
 
     schema_version: int
     config: ExperimentConfig
@@ -85,25 +85,8 @@ class ExperimentReport:
     deltas: DeltaSummary | None
     wall_time_seconds: float
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
-        """Rebuild a report from its `dataclasses.asdict` form or parsed JSON."""
-        parts = dict(data)
-        config = dict(data["config"], eve_stages=tuple(data["config"]["eve_stages"]))
-        parts["config"] = ExperimentConfig(**config)
-        parts["per_trial"] = tuple(PerTrialResult(**row) for row in data["per_trial"])
-        if data["exact"] is not None:
-            parts["exact"] = ExactAnalysis(**data["exact"])
-        if data["deltas"] is not None:
-            parts["deltas"] = DeltaSummary(**data["deltas"])
-        return cls(**parts)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_dict(json.loads(text))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -151,9 +151,7 @@ _TIE_TOL = 1e-12
 #: Paths above this probability count as branches.
 _BRANCH_FLOOR = 1e-15
 
-#: Draws per chunk of `_draw_counts`, `run_key_session` and the parity masks
-#: of `sift`: 64 KiB of doubles or int64 bits.  A multiple of 8, so that a
-#: chunk of mask bits packs into whole bytes.
+#: Uniforms per chunk of `_draw_counts` and `run_key_session`: 64 KiB of doubles.
 _CHUNK = 8192
 
 

@@ -53,6 +53,20 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def _check_num_qubits(num_qubits) -> None:
+    _check_count("num_qubits", num_qubits, 1)
+    if num_qubits not in _SUPPORTED_NUM_QUBITS:
+        raise ValueError(f"num_qubits must be 1 or 2, got {num_qubits}")
+
+
+def _check_index(index, num_qubits) -> None:
+    """Check a basis index and, first, its qubit count."""
+    _check_num_qubits(num_qubits)
+    _check_count("index", index, 0)
+    if index >= 2**num_qubits:
+        raise ValueError(f"index {index} out of range for {num_qubits} qubit(s)")
+
+
 def _trusted(cls, **fields):
     """Build a frozen value from fields valid by construction, skipping its checks."""
     value = object.__new__(cls)
@@ -103,9 +117,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_count("num_qubits", self.num_qubits, 1)
-        if self.num_qubits not in _SUPPORTED_NUM_QUBITS:
-            raise ValueError(f"num_qubits must be 1 or 2, got {self.num_qubits}")
+        _check_num_qubits(self.num_qubits)
         arr = np.array(self.amplitudes, dtype=complex, order="C")
         norm = np.vdot(arr, arr).real if arr.ndim == 1 else None
         if arr.shape != (self.dim,) or not abs(norm - 1.0) <= DEFAULT_TOL:  # NaN fails
@@ -195,9 +207,7 @@ class Outcome:
 
     @classmethod
     def from_index(cls, index: int, num_qubits: int) -> "Outcome":
-        _check_count("num_qubits", num_qubits, 0)
-        if num_qubits < 1 or not 0 <= index < 2**num_qubits:
-            raise ValueError(f"index {index} out of range for {num_qubits} qubit(s)")
+        _check_index(index, num_qubits)
         bits = tuple(int((index >> (num_qubits - 1 - q)) & 1) for q in range(num_qubits))
         return _trusted(cls, index=index, bits=bits)
 
@@ -210,13 +220,10 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
         num_qubits: 1 or 2.
 
     Raises:
-        ValueError: If the index is out of range or num_qubits unsupported.
+        ValueError: If the index is not an integer in range, or num_qubits
+            is unsupported.
     """
-    _check_count("num_qubits", num_qubits, 1)
-    if num_qubits not in _SUPPORTED_NUM_QUBITS:
-        raise ValueError(f"num_qubits must be 1 or 2, got {num_qubits}")
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubit(s)")
+    _check_index(index, num_qubits)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
     amps.setflags(write=False)

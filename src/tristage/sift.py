@@ -18,12 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .protocol import _CHUNK
 from .qcore import _check_count
-
-# Largest key length for which subset masks are drawn as single integers;
-# longer keys fall back to per-bit draws with rejection of the empty subset.
-_INTEGER_MASK_LIMIT = 62
 
 
 @dataclass(frozen=True)
@@ -109,23 +104,24 @@ def _key_to_int(key, side: str) -> tuple[int, int]:
     return _bits_to_int(bits), len(bits)
 
 
-def _long_mask(length: int, rng: np.random.Generator) -> int:
-    """A uniform non-empty subset of ``length`` bits, as an integer mask.
+def _masks(length: int, rounds: int, rng: np.random.Generator) -> list[int]:
+    """``rounds`` uniform non-empty subsets of ``length`` bits, as integer masks.
 
-    The bits are drawn with ``rng.integers(0, 2, size=...)`` `_CHUNK` at a
-    time and packed into the mask's bytes as they come.  The generator's
-    draws form one stream however the calls cut it, so the mask, and the
-    state the generator is left in, are those of one draw of ``length``
-    bits; an empty mask is drawn again whole."""
-    packed = np.empty((length + 7) // 8, np.uint8)
-    while True:
-        for start in range(0, length, _CHUNK):  # _CHUNK is a multiple of 8
-            chunk = rng.integers(0, 2, size=min(_CHUNK, length - start))
-            # Packing int64 bits directly is several times slower than via uint8.
-            packed[start // 8:(start + chunk.size + 7) // 8] = np.packbits(
-                chunk.astype(np.uint8), bitorder="little")
-        if packed.any():
-            return int.from_bytes(packed.tobytes(), "little")
+    The masks are read little-endian from the bytes of one
+    ``rng.integers(0, 256, dtype=np.uint8)`` draw, ``ceil(length / 8)``
+    bytes each, with their bits at and past ``length`` cleared.  The masks
+    left empty are drawn again together, so each is uniform over the
+    non-empty subsets."""
+    width = (length + 7) // 8
+    raw = rng.integers(0, 256, size=rounds * width, dtype=np.uint8).tobytes()
+    keep = (1 << length) - 1
+    masks = [int.from_bytes(raw[i:i + width], "little") & keep
+             for i in range(0, len(raw), width)]
+    empty = masks.count(0)
+    if empty:
+        redrawn = iter(_masks(length, empty, rng))
+        masks = [mask or next(redrawn) for mask in masks]
+    return masks
 
 
 def parity_check(
@@ -161,13 +157,9 @@ def parity_check(
         raise ValueError(f"key lengths differ: {length} vs {bob_length}")
     if length == 0:
         raise ValueError("keys must be non-empty")
-    if length <= _INTEGER_MASK_LIMIT:
-        masks = [int(m) for m in rng.integers(1, 2**length, size=rounds)]
-    else:
-        masks = [_long_mask(length, rng) for _ in range(rounds)]
     round_results = []
     union = 0
-    for mask in masks:
+    for mask in _masks(length, rounds, rng):
         union |= mask
         round_results.append(
             ParityRound(

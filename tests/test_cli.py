@@ -13,12 +13,7 @@ import pytest
 
 import tristage
 from tristage import family_names
-from tristage.cli import (
-    ExperimentReport,
-    main,
-    parse_arguments,
-    run_experiment,
-)
+from tristage.cli import main, parse_arguments, run_experiment
 
 
 def run_cli(capsys, argv):
@@ -302,26 +297,6 @@ def test_session_memory_is_bounded_in_blocks():
 
 
 class TestReportSerialization:
-    def test_json_round_trip_preserves_report(self):
-        cfg = parse_arguments(
-            [
-                "run",
-                "--family",
-                "controlled-pair",
-                "--blocks",
-                "25",
-                "--trials",
-                "2",
-                "--eve-stages",
-                "1,3",
-                "--seed",
-                "17",
-            ]
-        )
-        report = run_experiment(cfg)
-        clone = ExperimentReport.from_json(report.to_json())
-        assert clone == report
-
     def test_json_keys_are_sorted(self):
         cfg = parse_arguments(["run", "--family", "pauli", "--blocks", "5"])
         report = run_experiment(cfg)

@@ -1,6 +1,7 @@
 """Core state/operator layer: construction rules, algebra, measurement."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +170,18 @@ class TestUnitaryOperator:
         np.testing.assert_allclose(again.matrix, h.matrix, atol=1e-15)
 
 
+#: (index, num_qubits, error message) that `Outcome.from_index` and
+#: `basis_state` reject.
+_BAD_INDICES = [
+    (4, 2, "index 4 out of range for 2 qubit(s)"),
+    (-1, 1, "index must be non-negative, got -1"),
+    (0, 0, "num_qubits must be >= 1, got 0"),
+    (5, 3, "num_qubits must be 1 or 2, got 3"),
+    (True, 1, "index must be an integer, got True"),
+    (1.0, 1, "index must be an integer, got 1.0"),
+]
+
+
 class TestOutcome:
     def test_bits_are_most_significant_first(self):
         """Index 2 over two qubits means qubit 0 reads 1 and qubit 1 reads 0."""
@@ -200,8 +213,8 @@ class TestOutcome:
             Outcome(1, bits)
 
     def test_out_of_range_index_rejected(self):
-        for index, num_qubits in [(4, 2), (-1, 1), (0, 0)]:
-            with pytest.raises(ValueError, match="out of range"):
+        for index, num_qubits, message in _BAD_INDICES:
+            with pytest.raises(ValueError, match=re.escape(message)):
                 Outcome.from_index(index, num_qubits)
 
 
@@ -212,8 +225,10 @@ class TestBasisStates:
         )
 
     def test_basis_state_range_check(self):
-        with pytest.raises(ValueError):
-            basis_state(2, 1)
+        for index, num_qubits, message in [(2, 1, "index 2 out of range for 1 qubit(s)"),
+                                           *_BAD_INDICES]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                basis_state(index, num_qubits)
 
     def test_is_basis_state_recognizes_phased_basis_states(self):
         psi = StateVector(1, np.array([0.0, 1j]))

@@ -1,14 +1,15 @@
 """Tests for parity-based tamper detection on sifted keys."""
 
 import dataclasses
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from test_passes import _Z
 from tristage import ParityRound, SiftReport, detection_probability, parity_check
-from tristage.protocol import _CHUNK
 
 
 def flip(key, positions):
@@ -86,7 +87,7 @@ class TestParityCheck:
         assert abs(hits / trials - q) < 4.0 * stderr
 
     def test_long_keys_use_every_index(self):
-        # Lengths beyond the 62-bit mask fast path still draw full-range subsets.
+        # Masks span every byte of the key, the last one partly.
         length = 100
         key = (0,) * length
         rng = np.random.default_rng(5)
@@ -287,18 +288,20 @@ class TestLazyDisclosure:
 
 
 class _ZeroFirst:
-    """Generator stand-in whose first ``zeros`` bit draws are all zero; the
-    rest come from a real generator."""
+    """Generator stand-in that hands out a real generator's bytes with the
+    first ``zeros`` of them set to zero, and records each draw's size."""
 
     def __init__(self, zeros, seed):
         self.zeros, self.rng = zeros, np.random.default_rng(seed)
         self.sizes = []
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype):
         self.sizes.append(size)
-        if len(self.sizes) <= self.zeros:
-            return np.zeros(size, np.int64)
-        return self.rng.integers(low, high, size=size)
+        drawn = self.rng.integers(low, high, size=size, dtype=dtype)
+        cleared = min(self.zeros, size)
+        drawn[:cleared] = 0
+        self.zeros -= cleared
+        return drawn
 
 
 def _as_int(bits):
@@ -306,19 +309,25 @@ def _as_int(bits):
     return int("".join(str(int(b)) for b in reversed(bits)), 2)
 
 
+def _reference_masks(length, rounds, rng):
+    """Each mask from ``ceil(length / 8)`` bytes of one ``rng.integers(0,
+    256, dtype=np.uint8)`` draw for all rounds, unpacked bit by bit with the
+    bits at and past ``length`` dropped; while some masks are empty, one
+    draw for all of those again."""
+    width = (length + 7) // 8
+    masks = [0] * rounds
+    while 0 in masks:
+        empty = [i for i, mask in enumerate(masks) if mask == 0]
+        drawn = rng.integers(0, 256, size=len(empty) * width, dtype=np.uint8)
+        bits = np.unpackbits(drawn, bitorder="little").reshape(len(empty), 8 * width)
+        for i, row in zip(empty, bits[:, :length]):
+            masks[i] = _as_int(row)
+    return masks
+
+
 def _reference_parity_check(alice, bob, rounds, rng):
-    """`parity_check` with each long mask from one ``rng.integers(0, 2,
-    size=length)`` draw, redrawn while empty, and bits read one by one."""
-    length = len(alice)
-    if length <= 62:
-        masks = [int(m) for m in rng.integers(1, 2**length, size=rounds)]
-    else:
-        masks = []
-        for _ in range(rounds):
-            bits = rng.integers(0, 2, size=length)
-            while not bits.any():
-                bits = rng.integers(0, 2, size=length)
-            masks.append(_as_int(bits))
+    """`parity_check` from `_reference_masks`, with parities read bit by bit."""
+    masks = _reference_masks(len(alice), rounds, rng)
     alice, bob = _as_int(alice), _as_int(bob)
     rows = [ParityRound(m, (m & alice).bit_count() % 2, (m & bob).bit_count() % 2) for m in masks]
     union = 0
@@ -328,8 +337,8 @@ def _reference_parity_check(alice, bob, rounds, rng):
 
 
 class TestMaskStream:
-    """Long masks are drawn `_CHUNK` bits at a time from the stream that one
-    draw of the whole mask takes."""
+    """All masks of a check come from one draw of bytes, and the empty ones
+    from one more draw each time some are left."""
 
     KEY_TYPES = {
         "list": lambda bits: bits.tolist(),
@@ -339,7 +348,7 @@ class TestMaskStream:
         "bool": lambda bits: bits.astype(bool),
     }
 
-    @pytest.mark.parametrize("length", [62, 63, _CHUNK - 1, _CHUNK, _CHUNK + 1, 100_001])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 62, 63, 64, 65, 8191, 8192, 8193, 100_001])
     @pytest.mark.parametrize("key_type", list(KEY_TYPES))
     def test_reports_and_stream_are_those_of_one_draw(self, length, key_type):
         alice = np.random.default_rng(length).integers(0, 2, size=length, dtype=np.uint8)
@@ -347,25 +356,63 @@ class TestMaskStream:
         bob[[0, length // 3, length - 1]] ^= 1
         convert = self.KEY_TYPES[key_type]
         drawn, reference = np.random.default_rng(length + 1), np.random.default_rng(length + 1)
-        got = parity_check(convert(alice), convert(bob), rounds=3, rng=drawn)
-        assert got == _reference_parity_check(alice, bob, 3, reference)
+        got = parity_check(convert(alice), convert(bob), rounds=8, rng=drawn)
+        assert got == _reference_parity_check(alice, bob, 8, reference)
         assert drawn.random() == reference.random()
 
-    @pytest.mark.parametrize("length", [63, _CHUNK, 2 * _CHUNK + 5])
+    @pytest.mark.parametrize("length", [9, 63, 8192, 16389])
     def test_empty_mask_is_drawn_again_whole(self, length):
-        """The bits of a mask are drawn in chunks of `_CHUNK`, the last one
-        short; an empty mask is drawn again from its first bit, and a
-        non-empty chunk after an empty one does not end the mask early."""
-        sizes = [min(_CHUNK, length - start) for start in range(0, length, _CHUNK)]
+        """An empty mask is drawn again whole, into its own place; masks left
+        empty together are drawn again in one draw."""
+        width = (length + 7) // 8
         key = (1,) * length
-        stub = _ZeroFirst(zeros=len(sizes) + 1, seed=3)
-        report = parity_check(key, key, rounds=1, rng=stub)
-        real = np.random.default_rng(3)
-        if len(sizes) == 1:  # two empty masks, then a drawn one
-            assert stub.sizes == sizes * 3
-            want = real.integers(0, 2, size=length)
-        else:  # an empty mask, then one whose first chunk is empty
-            assert stub.sizes == sizes * 2
-            want = np.concatenate([np.zeros(_CHUNK, np.int64),
-                                   *(real.integers(0, 2, size=n) for n in sizes[1:])])
-        assert report.rounds[0].subset_mask == _as_int(want)
+        keep = (1 << length) - 1
+
+        def real_masks(*slices):
+            """Masks from the real stream's first draws of the given byte counts."""
+            real = np.random.default_rng(3)
+            draws = [real.integers(0, 256, size=n, dtype=np.uint8).tobytes() for n in slices]
+            raw = b"".join(draws)
+            return [int.from_bytes(raw[i:i + width], "little") & keep
+                    for i in range(0, len(raw), width)]
+
+        # The first two masks are empty and drawn again together; the third
+        # keeps its bytes.
+        stub = _ZeroFirst(zeros=2 * width, seed=3)
+        report = parity_check(key, key, rounds=3, rng=stub)
+        assert stub.sizes == [3 * width, 2 * width]
+        _, _, third, again_first, again_second = real_masks(3 * width, 2 * width)
+        assert [r.subset_mask for r in report.rounds] == [again_first, again_second, third]
+        # The first two draws are empty: all three masks are drawn again, twice.
+        stub = _ZeroFirst(zeros=6 * width, seed=3)
+        report = parity_check(key, key, rounds=3, rng=stub)
+        assert stub.sizes == [3 * width] * 3
+        assert [r.subset_mask for r in report.rounds] == real_masks(*[3 * width] * 3)[6:]
+
+
+class TestSubsetLaw:
+    """Masks are uniform over the non-empty subsets, so each round detects
+    any non-zero error pattern with chance 2^(n-1) / (2^n - 1)."""
+
+    @pytest.mark.parametrize("length", [1, 3, 4, 9])
+    def test_masks_are_uniform_over_non_empty_subsets(self, length):
+        """Pearson's chi-square of the subset counts against the uniform law
+        on the 2^n - 1 non-empty subsets stays below its Wilson-Hilferty
+        quantile at 1 - 1e-6.  Nine bits span two bytes, so the tail of the
+        second is cleared."""
+        cells, per_cell = 2**length - 1, 64
+        key = (0,) * length
+        report = parity_check(key, key, rounds=cells * per_cell, rng=np.random.default_rng(length))
+        counts = np.bincount([r.subset_mask for r in report.rounds], minlength=cells + 1)
+        assert counts.size == cells + 1 and counts[0] == 0
+        statistic = float(((counts[1:] - per_cell) ** 2 / per_cell).sum())
+        df = cells - 1
+        bound = df * (1 - 2 / (9 * df) + _Z * math.sqrt(2 / (9 * df))) ** 3 if df else 0.0
+        assert statistic <= bound, (statistic, bound, df)
+
+    @pytest.mark.parametrize("length", [63, 65, 8193])
+    def test_masks_stay_within_the_key(self, length):
+        key = (0,) * length
+        report = parity_check(key, key, rounds=200, rng=np.random.default_rng(length))
+        assert all(r.subset_mask >> length == 0 for r in report.rounds)
+        assert report.disclosed_mask >> (length - 1) == 1
