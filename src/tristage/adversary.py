@@ -23,11 +23,16 @@ from .qcore import Outcome, StateVector, UnitaryOperator, adjoint, apply, measur
 
 
 class StageLabel(Enum):
-    """The three transmissions of one protocol run, in order."""
+    """The three transmissions of one protocol run, in order.
+
+    Members are singletons that compare by identity, so they hash by
+    identity too, in C, where Enum's own hash hashes the name in Python."""
 
     ALICE_TO_BOB_1 = 1
     BOB_TO_ALICE_2 = 2
     ALICE_TO_BOB_3 = 3
+
+    __hash__ = object.__hash__
 
     @property
     def number(self) -> int:
@@ -117,7 +122,7 @@ def transmit(
         ValueError: If the pre-rotation dimension does not match the state.
     """
     record = None
-    if ctx.eve is not None and ctx.eve.attacks(stage):
+    if ctx.eve is not None and stage in ctx.eve.stages:
         rotation = ctx.eve.pre_rotation
         if rotation is not None:
             if rotation.dim != psi.dim:

@@ -111,27 +111,22 @@ def run_three_stage(
     wire: dict = {}
     delivered: dict = {}
     records = []
-
-    def send(stage: StageLabel, psi: StateVector) -> StateVector:
-        wire[stage] = psi
-        arrived, record = transmit(stage, psi, channel, rng)
-        delivered[stage] = arrived
+    state = apply(alice_op, secret)
+    for stage, op in zip(STAGES, (bob_op, adjoint(alice_op), adjoint(bob_op))):
+        wire[stage] = state
+        state, record = transmit(stage, state, channel, rng)
+        delivered[stage] = state
         if record is not None:
             records.append((stage, record))
-        return arrived
-
-    state = send(StageLabel.ALICE_TO_BOB_1, apply(alice_op, secret))
-    state = send(StageLabel.BOB_TO_ALICE_2, apply(bob_op, state))
-    state = send(StageLabel.ALICE_TO_BOB_3, apply(adjoint(alice_op), state))
-    recovered = apply(adjoint(bob_op), state)
-    measured, _ = measure(recovered, rng)
+        state = apply(op, state)
+    measured, _ = measure(state, rng)
     return Transcript(
         secret=secret,
         alice_op=alice_op,
         bob_op=bob_op,
         wire_states=wire,
         delivered_states=delivered,
-        recovered=recovered,
+        recovered=state,
         measured=measured,
         eve_records=tuple(records),
     )

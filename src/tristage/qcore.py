@@ -20,9 +20,11 @@ stochastic operation is reproducible from a seed.
 
 Values are checked once, where they enter.  `basis_state` and
 `Outcome.from_index` check their arguments, not their exact 0/1 results, and
-`adjoint` checks each distinct operator once, then caches by value.  `apply`
-and `tensor` check every product: factors within 1e-9 can drift.  A state's
-one norm test also rejects NaN and infinity.  Collapsed outcomes are shared.
+`adjoint` checks each distinct operator once, then caches by value.  Every
+product is checked, since factors within 1e-9 can drift: `tensor` builds an
+operator, and `apply` gives each product one norm test, without the copy and
+the qubit-count check of the `StateVector` constructor.  A state's one norm
+test also rejects NaN and infinity.  Collapsed outcomes are shared.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,8 +81,11 @@ def _trusted(cls, **fields):
 def proportional_phase(a: np.ndarray, b: np.ndarray):
     """Return the unit scalar ``c`` with ``a = c * b``, or None if there is none.
 
-    The candidate phase is extracted at the largest-modulus entry of ``b`` to
-    avoid dividing by a near-zero amplitude, then checked entrywise.
+    The candidate phase is extracted at the largest-modulus entry of ``b``
+    (the first, on a tie) to avoid dividing by a near-zero amplitude, then
+    checked entrywise.  The arithmetic runs on Python scalars, which are
+    faster than numpy on a few entries; on entries that are not exact, the
+    result can differ from numpy's complex arithmetic in the last bit.
 
     Args:
         a: Complex array.
@@ -93,14 +99,17 @@ def proportional_phase(a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    pivot = np.abs(b).argmax()
-    pivot_value = b.flat[pivot]
-    if abs(pivot_value) <= DEFAULT_TOL:
+    a_values, b_values = a.ravel().tolist(), b.ravel().tolist()
+    moduli = [abs(z) for z in b_values]
+    largest = max(moduli, default=0.0)
+    if largest <= DEFAULT_TOL:
         return None
-    c = a.flat[pivot] / pivot_value
-    if abs(abs(c) - 1.0) > DEFAULT_TOL or np.abs(a - c * b).max() > DEFAULT_TOL:
+    pivot = moduli.index(largest)
+    c = a_values[pivot] / b_values[pivot]
+    if abs(abs(c) - 1.0) > DEFAULT_TOL or not all(
+            abs(x - c * y) <= DEFAULT_TOL for x, y in zip(a_values, b_values)):
         return None
-    return complex(c)
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +254,25 @@ def is_basis_state(psi: StateVector) -> int | None:
 def apply(u: UnitaryOperator, psi: StateVector) -> StateVector:
     """Apply a unitary to a state: the matrix-vector product ``U @ psi``.
 
+    The product gets one norm test, which NaN and infinity fail too, and is
+    kept read-only without a copy.  The operator and the state were checked
+    when they were built, so that is all the constructor would check again.
+
     Raises:
-        ValueError: If the operator dimension does not match the state.
+        ValueError: If the operator dimension does not match the state, or
+            the product fails the norm test; the error is the `StateVector`
+            constructor's for that product.
     """
-    if u.dim != psi.dim:
+    if len(u.matrix) != len(psi.amplitudes):  # the dims, without two property calls
         raise ValueError(f"operator dim {u.dim} does not match state dim {psi.dim}")
-    return StateVector(num_qubits=psi.num_qubits, amplitudes=u.matrix @ psi.amplitudes)
+    amps = u.matrix @ psi.amplitudes
+    if not abs(np.vdot(amps, amps).real - 1.0) <= DEFAULT_TOL:  # NaN and inf fail too
+        return StateVector(psi.num_qubits, amps)  # raises the constructor's error
+    amps.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "num_qubits", psi.num_qubits)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
 
 
 @lru_cache(maxsize=64)
@@ -276,6 +298,8 @@ def measure(psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateV
 
     Samples outcome ``k`` with probability ``|amplitude[k]|**2``: the first
     index whose running total exceeds one uniform draw, else the last index.
+    The total is summed on Python floats in index order, as ``np.cumsum``
+    sums, so it is the same to the bit.
     Equal results share one immutable `Outcome` and collapsed basis state.
 
     Args:
@@ -285,8 +309,8 @@ def measure(psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateV
     Returns:
         The sampled `Outcome` and the collapsed `StateVector`.
     """
-    cumulative = np.cumsum(outcome_distribution(psi)).tolist()
-    index = min(bisect_right(cumulative, rng.random()), psi.dim - 1)
+    cumulative = list(accumulate(outcome_distribution(psi).tolist()))
+    index = min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
     return _collapsed(index, psi.num_qubits)
 
 

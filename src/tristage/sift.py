@@ -83,13 +83,14 @@ def _bits_to_int(bits: np.ndarray) -> int:
 def _key_to_int(key, side: str) -> tuple[int, int]:
     """The key as the integer whose bit i is entry i, and its length.
 
-    A list or tuple of small non-negative integers is read through `bytes`,
-    which is several times faster than `np.asarray`; any other entries, and
-    any other sequence, go through `np.asarray` as an array does."""
+    A list or tuple of small non-negative integers is read through
+    `bytearray`, which is several times faster than `np.asarray` and faster
+    than `bytes`; any other entries, and any other sequence, go through
+    `np.asarray` as an array does."""
     bits = None
     if isinstance(key, (list, tuple)):
         try:
-            bits = np.frombuffer(bytes(key), np.uint8)
+            bits = np.frombuffer(bytearray(key), np.uint8)
         except (TypeError, ValueError):  # entries that are not integers in [0, 256)
             pass
     if bits is None:
@@ -134,8 +135,9 @@ def parity_check(
 
     Args:
         alice_key: Alice's bits, as a sequence (a list or tuple of 0 and 1
-            is read fastest) or a numpy array (a ``uint8`` array, as
-            `run_key_session` returns, is taken as it is).
+            is read fastest, through `bytearray`) or a numpy array (a
+            ``uint8`` array, as `run_key_session` returns, is taken as
+            it is).
         bob_key: Bob's bits, same length.
         rounds: How many independent subsets to draw; each consumes the
             bits it touches (they become disclosed).

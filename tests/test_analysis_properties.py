@@ -1,7 +1,8 @@
 """Property tests of exact enumeration: over random commuting families, and
 over the inputs the CLI accepts, noise included, against sessions and Monte
-Carlo analysis, which draw from its law, and against two routes independent
-of it, a per-row simulation and an unpruned per-pair branch enumeration."""
+Carlo analysis, which draw from its law, and against three routes independent
+of it, a per-row simulation, `run_three_stage` transcripts and an unpruned
+per-pair branch enumeration."""
 
 import math
 
@@ -29,7 +30,12 @@ from tristage import (
     verify_recovery,
 )
 from tristage.protocol import _law
-from test_passes import assert_dense_sample_fits_joint_law, reference_joint, reference_table
+from test_passes import (
+    assert_dense_sample_fits_joint_law,
+    assert_sample_fits_joint_law,
+    reference_joint,
+    reference_table,
+)
 
 
 def _random_unitary(rng, dim):
@@ -170,6 +176,39 @@ def test_per_row_simulation_matches_joint_law(cli_input):
     family = get_family(name)
     eve, noise = _channel(family, stages, basis, p)
     assert_dense_sample_fits_joint_law(family, ChannelContext(eve=eve, noise=noise), seed=5)
+
+
+def _transcript_sample(family, ctx, runs, rng):
+    """(secret, Eve's record code, Bob's outcome) of ``runs`` object-level
+    runs, each of a uniform basis secret and uniform members, with the
+    record code's first intercepted stage most significant."""
+    dim, members = family.dim, family.members
+    secrets = [basis_state(s, dim.bit_length() - 1) for s in range(dim)]
+    picks = rng.integers(0, (dim, len(members), len(members)), size=(runs, 3))
+    sample = np.empty((3, runs), dtype=np.int64)
+    for row, (s, a, b) in enumerate(picks.tolist()):
+        transcript = run_three_stage(secrets[s], members[a], members[b], ctx, rng)
+        code = 0
+        for _, record in transcript.eve_records:
+            code = code * dim + record.index
+        sample[:, row] = s, code, transcript.measured.index
+    return tuple(sample)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(cli_inputs())
+@example(("quaternion", {2}, "DFT4", 0.1))
+@example(("hadamard", {1, 2, 3}, "H", 0.3))
+def test_transcripts_match_joint_law(cli_input):
+    """The paper's object-level pipeline, `run_three_stage` with `transmit`,
+    gives the frequencies of the joint law on every kind of CLI channel:
+    noisy, eavesdropped in a rotated basis and of either dimension."""
+    name, stages, basis, p = cli_input
+    family = get_family(name)
+    eve, noise = _channel(family, stages, basis, p)
+    ctx = ChannelContext(eve=eve, noise=noise)
+    sample = _transcript_sample(family, ctx, 2**12, np.random.default_rng(13))
+    assert_sample_fits_joint_law(family, ctx, sample)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

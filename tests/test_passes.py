@@ -142,16 +142,15 @@ def reference_table(joint, stage_count):
 _Z = 4.753
 
 
-def assert_dense_sample_fits_joint_law(family, ctx, seed, rows=2**15):
-    """Pearson's chi-square of `_dense_sample`'s (secret, code, outcome)
-    counts against ``rows * law.joint / dim``, over the cells expected at
-    least 5 times with the rest pooled into one cell, stays below its
+def assert_sample_fits_joint_law(family, ctx, sample):
+    """Pearson's chi-square of a sample's (secret, code, outcome) counts
+    against ``rows * law.joint / dim``, over the cells expected at least 5
+    times with the rest pooled into one cell, stays below its
     Wilson-Hilferty quantile at 1 - 1e-6."""
     joint = _law(family, ctx.eve, ctx.noise).joint
-    cells = np.ravel_multi_index(_dense_sample(family, ctx, rows, np.random.default_rng(seed)),
-                                 joint.shape)
+    cells = np.ravel_multi_index(sample, joint.shape)
     observed = np.bincount(cells, minlength=joint.size)
-    expected = rows * joint.ravel() / family.dim
+    expected = cells.size * joint.ravel() / family.dim
     big = expected >= 5
     observed_rest, expected_rest = observed[~big].sum(), expected[~big].sum()
     observed, expected = observed[big], expected[big]
@@ -164,6 +163,12 @@ def assert_dense_sample_fits_joint_law(family, ctx, seed, rows=2**15):
     df = len(expected) - 1
     bound = df * (1 - 2 / (9 * df) + _Z * math.sqrt(2 / (9 * df))) ** 3
     assert statistic <= bound, (statistic, bound, df)
+
+
+def assert_dense_sample_fits_joint_law(family, ctx, seed, rows=2**15):
+    """`_dense_sample` fits the joint law, by `assert_sample_fits_joint_law`."""
+    sample = _dense_sample(family, ctx, rows, np.random.default_rng(seed))
+    assert_sample_fits_joint_law(family, ctx, sample)
 
 
 def _eve(*numbers, basis=None, dim=4):

@@ -25,6 +25,7 @@ from tristage import (
     proportional_phase,
     tensor,
 )
+from tristage.opsets import commutation_phase, operator_catalog
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -45,6 +46,27 @@ def _loop_pick(probs, draw):
         if draw < acc:
             return k
     return len(probs) - 1
+
+
+def _random_unitary(rng, dim):
+    gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(gauss)
+    return UnitaryOperator(q * (np.diag(r) / np.abs(np.diag(r))), "R")
+
+
+def _numpy_phase(a, b):
+    """Reference `proportional_phase` in numpy: the pivot is ``argmax`` of
+    the moduli of ``b``, the first of the largest."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    pivot = np.abs(b).argmax()
+    pivot_value = b.flat[pivot]
+    if abs(pivot_value) <= qcore.DEFAULT_TOL:
+        return None
+    c = a.flat[pivot] / pivot_value
+    if abs(abs(c) - 1.0) > qcore.DEFAULT_TOL or np.abs(a - c * b).max() > qcore.DEFAULT_TOL:
+        return None
+    return complex(c)
 
 
 def _measure_with_draw(psi, draw):
@@ -258,6 +280,83 @@ class TestProportionalPhase:
         a = np.array([1.0, 1.0], dtype=complex)
         assert proportional_phase(2.0 * a, a) is None
 
+    @staticmethod
+    def _agrees(a, b):
+        """The phase on Python scalars is `_numpy_phase`'s, up to the last
+        bits in which Python's and numpy's complex arithmetic differ."""
+        got, want = proportional_phase(a, b), _numpy_phase(a, b)
+        assert (got is None) == (want is None), (got, want)
+        if want is not None:
+            assert type(got) is complex and abs(got - want) <= 1e-15, (got, want)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (4, 4)])
+    def test_random_arrays_match_the_numpy_reference(self, shape):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            phase = np.exp(2j * np.pi * rng.random())
+            self._agrees(phase * b, b)
+            self._agrees(phase * b + 1e-3 * rng.normal(size=shape), b)
+            self._agrees(rng.normal(size=shape) + 1j * rng.normal(size=shape), b)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (4, 4)])
+    def test_all_zero_arrays_have_no_phase(self, shape):
+        zeros = np.zeros(shape, dtype=complex)
+        ones = np.ones(shape, dtype=complex)
+        for a, b in ((zeros, zeros), (ones, zeros), (zeros, ones)):
+            assert proportional_phase(a, b) is None
+            assert _numpy_phase(a, b) is None
+
+    @pytest.mark.parametrize("entry", [0, 2])
+    def test_nan_entries_have_no_phase(self, entry):
+        """A NaN in either array, at the pivot or not, fails a tolerance test."""
+        b = np.array([1.0, 0.5, 0.5j, 0.0], dtype=complex)
+        a = b.copy()
+        a[entry] = np.nan
+        assert proportional_phase(a, b) is None
+        assert proportional_phase(b, a) is None
+
+    @pytest.mark.parametrize("label", ["H", "DFT4"])
+    @pytest.mark.parametrize("phase", [1, -1, 1j, -1j])
+    def test_tied_largest_moduli_pivot_on_the_first(self, label, phase):
+        """Every entry of H and DFT4 has the largest modulus.  The entries
+        after the first are tilted within tolerance, so only a pivot on the
+        first entry gives the exact phase, as the reference does."""
+        b = (hadamard_family() if label == "H" else dft_family()).member(label).matrix
+        a = phase * b
+        a.flat[1:] += 1e-12
+        assert proportional_phase(a, b) == _numpy_phase(a, b) == phase
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tolerance_edges_match_the_numpy_reference(self, scale, accepted, sign):
+        rng = np.random.default_rng(29)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        b /= np.abs(b).max()
+        phase = np.exp(2j * np.pi * rng.random())
+        pivot = int(np.abs(b).argmax())
+        for entry in range(4):
+            a = phase * b
+            a[entry] += sign * scale * qcore.DEFAULT_TOL
+            # At the pivot the tilt moves the phase's modulus; elsewhere one entry.
+            assert (proportional_phase(a, b) is not None) is accepted, (entry, pivot)
+            self._agrees(a, b)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_catalog_phases_equal_the_numpy_reference_exactly(self, dim):
+        """Every ordered catalog pair's commutation phase, and every
+        product's phase against every member, as `verify_family` takes
+        them: equal to the reference bit for bit."""
+        catalog = list(operator_catalog(dim).values())
+        for u in catalog:
+            for v in catalog:
+                product = u.matrix @ v.matrix
+                assert commutation_phase(u, v) == _numpy_phase(product, v.matrix @ u.matrix), (
+                    u.label, v.label)
+                for w in catalog:
+                    assert proportional_phase(product, w.matrix) == _numpy_phase(
+                        product, w.matrix), (u.label, v.label, w.label)
+
 
 class TestDefaultTolerance:
     """The three comparisons every other tolerance test goes through accept
@@ -290,6 +389,53 @@ class TestOperatorAlgebra:
         shrink = qcore._trusted(UnitaryOperator, matrix=0.9 * np.eye(2), label="0.9I")
         with pytest.raises(ValueError, match="norm squared is"):
             apply(shrink, basis_state(0, 1))
+
+    @pytest.mark.parametrize("entry, message", [
+        (np.nan, "state entries must be finite"),
+        (np.inf, "state entries must be finite"),
+        (0.9, "state norm squared is"),
+    ])
+    def test_apply_raises_the_constructors_errors(self, entry, message):
+        """A product that fails the norm test raises what `StateVector`
+        raises on the same amplitudes: the finite check first.  (An infinite
+        entry times a complex amplitude also makes a NaN, with numpy's
+        warning.)"""
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 0] = entry
+        if entry == 0.9:
+            matrix[1, 1] = entry
+        bad = qcore._trusted(UnitaryOperator, matrix=matrix, label="bad")
+        with pytest.raises(ValueError) as constructed:
+            StateVector(1, matrix[:, 0])
+        assert str(constructed.value).startswith(message)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=f"^{re.escape(str(constructed.value))}$"):
+            apply(bad, basis_state(0, 1))
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_apply_norm_tolerance_is_default_tol(self, scale, accepted):
+        """A product whose norm squared is off by half `DEFAULT_TOL` passes,
+        and one off by twice it is rejected."""
+        stretch = qcore._trusted(UnitaryOperator, label="stretch",
+                                 matrix=math.sqrt(1.0 + scale * qcore.DEFAULT_TOL) * np.eye(4))
+        if accepted:
+            assert apply(stretch, basis_state(2, 2)).amplitudes[2].real > 1.0
+        else:
+            with pytest.raises(ValueError, match="norm squared is"):
+                apply(stretch, basis_state(2, 2))
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_apply_equals_the_checked_constructor(self, num_qubits):
+        """The product is the constructor's state on ``U @ psi``, bit for
+        bit, and read-only."""
+        rng = np.random.default_rng(num_qubits)
+        for _ in range(50):
+            u, psi = _random_unitary(rng, 2**num_qubits), _random_state(rng, num_qubits)
+            result = apply(u, psi)
+            assert result == StateVector(num_qubits, u.matrix @ psi.amplitudes)
+            assert result.num_qubits == num_qubits and not result.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                result.amplitudes[0] = 0.0
 
     def test_apply_bit_flip(self):
         """X|0> = |1>."""

@@ -136,7 +136,7 @@ class TestParityCheckValidation:
         [0, 2], (0, -1), [1, 256], [0, 1.5], [0, 2**70], [True, 2],
         [np.True_, np.int64(3)], np.array([0, 2]), np.array([0.0, 0.5]), np.array([0, -1])])
     def test_first_non_bit_entry_named(self, key):
-        """Lists and tuples read through `bytes` or through `np.asarray`
+        """Lists and tuples read through `bytearray` or through `np.asarray`
         alike name the first entry that is not a bit."""
         message = f"alice key must contain bits, got {key[1]!r} at index 1"
         with pytest.raises(ValueError, match=re.escape(message)):
